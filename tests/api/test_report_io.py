@@ -1,9 +1,13 @@
 """RunConfig / RunReport JSON round-trips through repro.io."""
 
+import hashlib
 import json
 
-from repro.api import RunConfig, solve, solve_many
+import pytest
+
+from repro.api import RunConfig, RunReport, solve, solve_many
 from repro.core.radii import RadiusPolicy
+from repro.core.results import AlgorithmResult
 from repro.graphs.families import get_family
 from repro.io import (
     load_run_reports,
@@ -77,3 +81,62 @@ class TestReportRoundtrip:
         assert [r.solution for r in back] == [r.solution for r in reports]
         assert [r.instance for r in back] == [r.instance for r in reports]
         assert [r.ratio for r in back] == [r.ratio for r in reports]
+
+
+def _pin_reports():
+    """Hand-built reports covering every layout rule of the run codec."""
+    policy_report = RunReport(
+        algorithm="algorithm1",
+        problem="mds",
+        instance={"n": 4, "m": 3, "family": "path", "opaque": object()},
+        result=AlgorithmResult(
+            name="algorithm1",
+            solution={3, 1, 2},
+            rounds=5,
+            phases={"two_cut": {3, 2}, "one_cut": {1}},
+            round_breakdown={"gather": 4, "decide": 1},
+            metadata={"note": "pinned", "dropped": object()},
+        ),
+        config=RunConfig(
+            policy=RadiusPolicy.practical(2, 4),
+            mode="simulate",
+            validate="ratio",
+            solver="bnb",
+            opt_cache=False,
+            seed=7,
+        ),
+        wall_time=0.125,
+        valid=True,
+        optimum_size=2,
+        ratio=1.5,
+    )
+    bare_report = RunReport(algorithm="take_all", problem="mvc")
+    tuple_report = RunReport(
+        algorithm="greedy",
+        problem="mds",
+        instance={"n": 9, "m": 12},
+        result=AlgorithmResult(
+            name="greedy",
+            solution={(1, 1), (0, 2), (2, 0)},
+            rounds=3,
+            phases={"greedy": {(2, 0), (1, 1)}},
+        ),
+        valid=True,
+    )
+    return {"policy": policy_report, "bare": bare_report, "tuple_labels": tuple_report}
+
+
+#: sha256 of ``json.dumps(run_report_to_dict(report))`` for each pinned
+#: report: the wire layout that sweep manifests, serve results and saved
+#: report files depend on.  A codec change must reproduce these bytes.
+RUN_REPORT_PINS = {
+    "policy": "1f8f76a79a1155c8e8c05fda77e80a7b1e6a27f34156365e8c248b7ff7da399e",
+    "bare": "9e1d1a543de0fbc2cecfbe78a8185f7fd3f80f6424af0b9dac46cae1f8e36c44",
+    "tuple_labels": "a52ed9348a349c551f2a8d973338c5c92600aebc50e6d04bf1256090f9706fc2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_REPORT_PINS))
+def test_run_report_byte_layout_pin(case):
+    text = json.dumps(run_report_to_dict(_pin_reports()[case]))
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_REPORT_PINS[case]

@@ -1,5 +1,6 @@
 """Tests for the `repro.api.simulate` front door and its JSON round-trip."""
 
+import hashlib
 import json
 
 import networkx as nx
@@ -8,6 +9,7 @@ import pytest
 from repro.analysis.domination import is_dominating_set
 from repro.api import (
     FaultPlan,
+    SimReport,
     SimulationSpec,
     UnknownAlgorithmError,
     UnsupportedModeError,
@@ -18,6 +20,9 @@ from repro.api import (
 )
 from repro.graphs import generators as gen
 from repro.io import (
+    byzantine_plan_to_dict,
+    churn_plan_to_dict,
+    fault_plan_to_dict,
     load_sim_reports,
     save_sim_reports,
     sim_report_from_dict,
@@ -25,7 +30,9 @@ from repro.io import (
     sim_spec_from_dict,
     sim_spec_to_dict,
 )
+from repro.local_model.adversary import ByzantinePlan, ChurnEvent, ChurnPlan
 from repro.local_model.engine import MessageTooLargeError
+from repro.local_model.instrumentation import RoundStats
 
 
 class TestSimulate:
@@ -275,3 +282,127 @@ class TestAdversarialSpecs:
             return json.dumps([sim_report_to_dict(r) for r in reports])
 
         assert dump(serial) == dump(parallel)
+
+
+def _pin_payloads():
+    """Hand-built specs, plans and reports covering every layout rule of
+    the simulation codec, already encoded."""
+    every_plan = SimulationSpec(
+        algorithm="d2",
+        model="async",
+        budget=6,
+        max_rounds=64,
+        trace="full",
+        seed=3,
+        faults=FaultPlan(
+            drop_probability=0.25,
+            crashed=(9, 4),
+            crash_schedule=((6, 3), (5, 3), (7, 1)),
+        ),
+        ids="spread",
+        churn=ChurnPlan(
+            events=(
+                ChurnEvent(2, "del_edge", 0, 1),
+                ChurnEvent(2, "add_edge", 3, 8),
+                ChurnEvent(3, "join", 10, 4),
+                ChurnEvent(3, "join", 11),
+                ChurnEvent(5, "leave", 2),
+            ),
+            rate=0.2,
+            until=4,
+        ),
+        byzantine=ByzantinePlan(((8, "silent"), (3, "lie"))),
+        delay=3,
+    )
+    trivial_plans = SimulationSpec(
+        algorithm="greedy",
+        faults=FaultPlan(),
+        churn=ChurnPlan(),
+        byzantine=ByzantinePlan(),
+    )
+    full_trace = SimReport(
+        algorithm="d2",
+        problem="mds",
+        model="local",
+        instance={"n": 5, "m": 4, "family": "star", "opaque": object()},
+        spec=SimulationSpec(algorithm="d2", trace="full"),
+        outputs={3: False, 0: True, 1: {"k": [1, 2]}, 2: object(), 4: None},
+        rounds=3,
+        total_messages=16,
+        total_payload=40,
+        crashed=(),
+        round_stats=[RoundStats(1, 8, 16), RoundStats(2, 8, 24), RoundStats(3, 0, 0)],
+    )
+    adversarial = SimReport(
+        algorithm="d2",
+        problem="mds",
+        model="async",
+        instance={"n": 12, "m": 11},
+        spec=every_plan,
+        outputs={1: True, 0: False},
+        rounds=9,
+        total_messages=30,
+        total_payload=70,
+        dropped_messages=4,
+        swallowed_messages=2,
+        crashed=(9, 4, 7),
+        delayed_messages=5,
+        churn_events=6,
+        churn_lost_messages=1,
+        suspicion={
+            8: {"behavior": "silent", "deviations": 0, "detections": 2},
+            3: {"behavior": "lie", "deviations": 4, "detections": 1},
+        },
+        failed=(6, 2),
+        timed_out=True,
+    )
+    tuple_labels = SimReport(
+        algorithm="d2",
+        problem="mds",
+        model="local",
+        instance={"n": 9, "m": 12},
+        spec=SimulationSpec(
+            algorithm="d2",
+            faults=FaultPlan(crashed=((0, 0),), crash_schedule=(((2, 2), 2),)),
+            churn=ChurnPlan(events=(ChurnEvent(1, "del_edge", (0, 1), (1, 1)),)),
+            byzantine=ByzantinePlan((((1, 0), "babble"),)),
+        ),
+        outputs={(1, 1): True, (0, 2): False, (1, 0): None},
+        rounds=3,
+        crashed=((2, 2), (0, 0)),
+        suspicion={(1, 0): {"behavior": "babble", "deviations": 1, "detections": 0}},
+        failed=((0, 1),),
+    )
+    return {
+        "spec_every_plan": sim_spec_to_dict(every_plan),
+        "spec_trivial_plans": sim_spec_to_dict(trivial_plans),
+        "plan_trivial_faults": fault_plan_to_dict(FaultPlan()),
+        "plan_trivial_churn": churn_plan_to_dict(ChurnPlan()),
+        "plan_trivial_byzantine": byzantine_plan_to_dict(ByzantinePlan()),
+        "plan_none": fault_plan_to_dict(None),
+        "report_full_trace": sim_report_to_dict(full_trace),
+        "report_adversarial": sim_report_to_dict(adversarial),
+        "report_tuple_labels": sim_report_to_dict(tuple_labels),
+    }
+
+
+#: sha256 of ``json.dumps(payload)`` for each pinned simulation payload:
+#: the wire layout that sweep manifest digests, serve results and saved
+#: report files depend on.  A codec change must reproduce these bytes.
+SIM_PINS = {
+    "spec_every_plan": "4529f86d351c83ea7293c5fdd14da41e0f907ba52aed088175526af9d5b3b337",
+    "spec_trivial_plans": "2a9e97403555b59d07d208e5c9a167e45f1fff200051f8990e78f854999beef2",
+    "plan_trivial_faults": "f896cf16f9c1fbad0162448b5ccb241e101d679160f454f0908ddffd8f33883a",
+    "plan_trivial_churn": "4e7e5477b0284352bdfc3d93fd624ffef6cb02dd91b9c2d1065de576b95bd782",
+    "plan_trivial_byzantine": "8be547e799995675d768347bce6f9d64ac413b940a4bf1290396c82a5032c355",
+    "plan_none": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+    "report_full_trace": "56a40597286b83962a8bd43aec51870581f31e933df3e9140a9a8eba0586215b",
+    "report_adversarial": "0be1b6cd94ce677bbc0afb0b1ab6a1313a5331d44e9899569bc589f81800813e",
+    "report_tuple_labels": "9136289f699fa77825af1a5c82850568bbf9dd9b24782ec00538983041b9aac6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_PINS))
+def test_simulation_byte_layout_pin(case):
+    text = json.dumps(_pin_payloads()[case])
+    assert hashlib.sha256(text.encode()).hexdigest() == SIM_PINS[case]
