@@ -7,7 +7,7 @@ execution mode, validation level, exact-solver backend); a
 wall time, validity, and the measured approximation ratio).  Both are
 plain picklable dataclasses so :func:`repro.api.solve_many` can ship
 them across process boundaries, and both round-trip through JSON via
-:func:`repro.io.run_report_to_dict` / :func:`repro.io.run_report_from_dict`.
+the :mod:`repro.io` record codec (``to_dict`` / ``from_dict``).
 """
 
 from __future__ import annotations

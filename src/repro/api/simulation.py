@@ -6,8 +6,8 @@ message-passing protocol (round model, CONGEST budget, round limit,
 trace policy, RNG seed, fault plan, identifier scheme); a
 :class:`SimReport` says *what happened* (per-vertex outputs, round and
 message totals, drops, crashes).  Both are plain picklable dataclasses,
-round-trip through JSON via :func:`repro.io.sim_report_to_dict` /
-:func:`repro.io.sim_report_from_dict`, and :func:`simulate_many` fans
+round-trip through JSON via the :mod:`repro.io` record codec
+(``to_dict`` / ``from_dict``), and :func:`simulate_many` fans
 ``instances × specs`` out over the same process-parallel,
 order-deterministic machinery as :func:`repro.api.solve_many`.
 

@@ -29,11 +29,9 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 from repro.analysis.tables import format_table
 from repro.api import (
-    RunConfig,
     SimulationSpec,
     UnsupportedModeError,
     algorithm_names,
@@ -62,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one algorithm on one instance")
     run.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    run.add_argument("--size", type=int, default=20)
+    run.add_argument("--size", type=_positive_int, default=20)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--algorithm", required=True, choices=algorithm_names())
     run.add_argument(
@@ -75,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="run every algorithm on one instance")
     compare.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    compare.add_argument("--size", type=int, default=20)
+    compare.add_argument("--size", type=_positive_int, default=20)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--problem", default="mds", choices=["mds", "mvc"])
     compare.add_argument(
@@ -99,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run an algorithm's message-passing protocol on the simulation engine",
     )
     simulate_p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    simulate_p.add_argument("--size", type=int, default=20)
+    simulate_p.add_argument("--size", type=_positive_int, default=20)
     simulate_p.add_argument(
         "--seed", type=int, default=0,
         help="instance seed; also drives the fault RNG and shuffled ids",
@@ -245,7 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--families", default="fan",
         help="comma-separated graph families (cross product with sizes/seeds)",
     )
-    sweep_run.add_argument("--sizes", default="16", help="comma-separated sizes")
+    sweep_run.add_argument(
+        "--sizes", type=_positive_ints, default="16", help="comma-separated sizes"
+    )
     sweep_run.add_argument("--seeds", default="0", help="comma-separated seeds")
     sweep_run.add_argument(
         "--algorithms", default=None,
@@ -549,6 +549,17 @@ def _split_csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of instance sizes: a positive integer."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(part) for part in _split_csv(text)]
+
+
 def _sweep_result_payload(result) -> dict:
     return {
         "run_dir": str(result.run_dir),
@@ -626,13 +637,9 @@ def _cmd_sweep(args) -> int:
         instances = []
         for family_name in _split_csv(args.families):
             family = get_family(family_name)
-            for size in _split_csv(args.sizes):
+            for size in args.sizes:
                 for seed in _split_csv(args.seeds):
-                    meta = {
-                        "family": family_name,
-                        "size": int(size),
-                        "seed": int(seed),
-                    }
+                    meta = {"family": family_name, "size": size, "seed": int(seed)}
                     instances.append(
                         (meta, family.make(meta["size"], meta["seed"]))
                     )
@@ -737,25 +744,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         return _cmd_report(args)
     return 2
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the hand-maintained ALGORITHMS dict is gone; old
-    # imports get a registry-derived equivalent (same call shape).
-    if name == "ALGORITHMS":
-        warnings.warn(
-            "repro.cli.ALGORITHMS is deprecated; use repro.api.list_algorithms()"
-            " / repro.api.solve() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        def _runner(spec):
-            def call(graph, simulate):
-                mode = "simulate" if simulate and spec.supports_simulation else "fast"
-                return spec.run(graph, RunConfig(mode=mode))
-            return call
-        return {spec.name: _runner(spec) for spec in list_algorithms("mds")}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

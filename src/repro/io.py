@@ -1,21 +1,27 @@
 """Instance and result persistence (JSON, no external deps).
 
 Experiments should be replayable from artifacts: this module serialises
-graphs, algorithm results, and sweep tables to a stable JSON layout.
+graphs, spec/report records and sweep tables to a stable JSON layout.
 
 * graphs — ``{"nodes": [...], "edges": [[u, v], ...], "meta": {...}}``
   with sorted nodes/edges so files are diff-able;
-* results — name/solution/rounds/phases/metadata;
-* run reports — the :class:`repro.api.RunReport` records produced by
-  :func:`repro.api.solve`, via :func:`run_report_to_dict` /
-  :func:`run_report_from_dict` (and file-level :func:`save_run_reports`
-  / :func:`load_run_reports`);
-* simulation reports — the :class:`repro.api.SimReport` records
-  produced by :func:`repro.api.simulate`, via
-  :func:`sim_report_to_dict` / :func:`sim_report_from_dict` (and
-  file-level :func:`save_sim_reports` / :func:`load_sim_reports`);
-  serialisation is fully deterministic (sorted sets, no wall-clock
-  fields), so parallel sweeps dump byte-identically to serial ones;
+* records — every spec and report dataclass (``AlgorithmResult``,
+  ``RadiusPolicy``, ``RunConfig``, ``RunReport``, the fault, churn and
+  Byzantine plans, ``SimulationSpec``, ``RoundStats``, ``SimReport``)
+  goes through one codec: :func:`to_dict` emits the dataclass fields in
+  declaration order and :func:`from_dict` reads them back.  The layout
+  table ``_LAYOUT`` lists the fields that do not travel as their plain
+  value: vertex collections are ``repr``-sorted, vertex-keyed dicts
+  become sorted ``[vertex, value]`` lists, non-JSON values are dropped,
+  trivial adversarial plans encode to ``None``, the adversarial fields
+  are left out while they hold their default (so records that do not
+  use them keep their older bytes), and JSON lists in vertex positions
+  come back as tuples.  The per-type names (``run_report_to_dict``,
+  ``sim_spec_from_dict``, ...) are bindings of the one codec, and
+  :func:`save_run_reports` / :func:`save_sim_reports` (with their
+  loaders) write report batches to files.  No wall-clock data enters
+  the layout except ``RunReport.wall_time``, so parallel sweeps dump
+  byte-identically to serial ones;
 * corpora — a directory of instances addressed by family/size/seed,
   written by :func:`write_corpus` and reloaded by :func:`read_corpus`.
 """
@@ -26,12 +32,20 @@ import base64
 import json
 import os
 import tempfile
+from dataclasses import MISSING, fields
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import networkx as nx
 
+from repro.api.config import RunConfig, RunReport
+from repro.api.simulation import SimReport, SimulationSpec
+from repro.core.radii import RadiusPolicy
 from repro.core.results import AlgorithmResult
+from repro.local_model.adversary import ByzantinePlan, ChurnEvent, ChurnPlan
+from repro.local_model.engine import FaultPlan
+from repro.local_model.instrumentation import RoundStats
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -142,305 +156,21 @@ def kernel_wire_from_dict(data: dict) -> "KernelWire":
     )
 
 
-def result_to_dict(result: AlgorithmResult) -> dict:
-    """JSON-ready dict for an algorithm result."""
-    return {
-        "name": result.name,
-        "solution": sorted(result.solution, key=repr),
-        "rounds": result.rounds,
-        "phases": {k: sorted(v, key=repr) for k, v in result.phases.items()},
-        "round_breakdown": dict(result.round_breakdown),
-        "metadata": {k: v for k, v in result.metadata.items() if _jsonable(v)},
-    }
+# -- The record codec --------------------------------------------------------
 
 
-def result_from_dict(data: dict) -> AlgorithmResult:
-    return AlgorithmResult(
-        name=data["name"],
-        solution=set(data["solution"]),
-        rounds=data["rounds"],
-        phases={k: set(v) for k, v in data.get("phases", {}).items()},
-        round_breakdown=dict(data.get("round_breakdown", {})),
-        metadata=dict(data.get("metadata", {})),
-    )
+class _Field(NamedTuple):
+    """How one record field travels.
 
-
-def run_config_to_dict(config: "RunConfig") -> dict:
-    """JSON-ready dict for a :class:`repro.api.RunConfig`."""
-    policy = config.policy
-    return {
-        "policy": None
-        if policy is None
-        else {
-            "one_cut_radius": policy.one_cut_radius,
-            "two_cut_radius": policy.two_cut_radius,
-            "dimension": policy.dimension,
-            "label": policy.label,
-        },
-        "mode": config.mode,
-        "validate": config.validate,
-        "solver": config.solver,
-        "opt_cache": config.opt_cache,
-        "seed": config.seed,
-    }
-
-
-def run_config_from_dict(data: dict) -> "RunConfig":
-    """Inverse of :func:`run_config_to_dict`."""
-    from repro.api.config import RunConfig
-    from repro.core.radii import RadiusPolicy
-
-    policy = None
-    if data.get("policy") is not None:
-        policy = RadiusPolicy(**data["policy"])
-    return RunConfig(
-        policy=policy,
-        mode=data.get("mode", "fast"),
-        validate=data.get("validate", "valid"),
-        solver=data.get("solver", "milp"),
-        opt_cache=data.get("opt_cache", True),
-        seed=data.get("seed", 0),
-    )
-
-
-def run_report_to_dict(report: "RunReport") -> dict:
-    """JSON-ready dict for a :class:`repro.api.RunReport`."""
-    return {
-        "algorithm": report.algorithm,
-        "problem": report.problem,
-        "instance": {k: v for k, v in report.instance.items() if _jsonable(v)},
-        "result": None if report.result is None else result_to_dict(report.result),
-        "config": run_config_to_dict(report.config),
-        "wall_time": report.wall_time,
-        "valid": report.valid,
-        "optimum_size": report.optimum_size,
-        "ratio": report.ratio,
-    }
-
-
-def run_report_from_dict(data: dict) -> "RunReport":
-    """Inverse of :func:`run_report_to_dict`."""
-    from repro.api.config import RunReport
-
-    result = None
-    if data.get("result") is not None:
-        result = result_from_dict(data["result"])
-    return RunReport(
-        algorithm=data["algorithm"],
-        problem=data["problem"],
-        instance=dict(data.get("instance", {})),
-        result=result,
-        config=run_config_from_dict(data.get("config", {})),
-        wall_time=data.get("wall_time", 0.0),
-        valid=data.get("valid"),
-        optimum_size=data.get("optimum_size"),
-        ratio=data.get("ratio"),
-    )
-
-
-def fault_plan_to_dict(plan: "FaultPlan | None") -> dict | None:
-    """JSON-ready dict for a :class:`repro.api.FaultPlan` (or ``None``).
-
-    ``crash_schedule`` is emitted only when non-empty, so pre-existing
-    fault-plan JSON stays byte-identical.
+    ``encode``/``decode`` map the value to and from its JSON shape.  An
+    ``optional`` field is left out while its encoded value equals the
+    encoded default, so records that do not use it keep the bytes they
+    had before the field existed.
     """
-    if plan is None:
-        return None
-    data = {
-        "drop_probability": plan.drop_probability,
-        "crashed": sorted(plan.crashed, key=repr),
-    }
-    if plan.crash_schedule:
-        data["crash_schedule"] = sorted(
-            ([v, when] for v, when in plan.crash_schedule),
-            key=lambda entry: (entry[1], repr(entry[0])),
-        )
-    return data
 
-
-def fault_plan_from_dict(data: dict | None) -> "FaultPlan | None":
-    """Inverse of :func:`fault_plan_to_dict`."""
-    from repro.local_model.engine import FaultPlan
-
-    if data is None:
-        return None
-    return FaultPlan(
-        drop_probability=data.get("drop_probability", 0.0),
-        crashed=tuple(_vertex_from_json(v) for v in data.get("crashed", ())),
-        crash_schedule=tuple(
-            (_vertex_from_json(v), when)
-            for v, when in data.get("crash_schedule", ())
-        ),
-    )
-
-
-def churn_plan_to_dict(plan: "ChurnPlan | None") -> dict | None:
-    """JSON-ready dict for a :class:`~repro.local_model.adversary.ChurnPlan`.
-
-    Events travel as ``[round, kind, u, v]`` quadruples in plan order
-    (application order matters within a round).
-    """
-    if plan is None:
-        return None
-    return {
-        "events": [[e.round, e.kind, e.u, e.v] for e in plan.events],
-        "rate": plan.rate,
-        "until": plan.until,
-    }
-
-
-def churn_plan_from_dict(data: dict | None) -> "ChurnPlan | None":
-    """Inverse of :func:`churn_plan_to_dict`."""
-    from repro.local_model.adversary import ChurnEvent, ChurnPlan
-
-    if data is None:
-        return None
-    return ChurnPlan(
-        events=tuple(
-            ChurnEvent(
-                round=round_index,
-                kind=kind,
-                u=_vertex_from_json(u),
-                v=_vertex_from_json(v),
-            )
-            for round_index, kind, u, v in data.get("events", ())
-        ),
-        rate=data.get("rate", 0.0),
-        until=data.get("until", 0),
-    )
-
-
-def byzantine_plan_to_dict(plan: "ByzantinePlan | None") -> dict | None:
-    """JSON-ready dict for a
-    :class:`~repro.local_model.adversary.ByzantinePlan` (vertex-sorted
-    for deterministic bytes)."""
-    if plan is None:
-        return None
-    return {
-        "behaviors": [
-            [v, behavior]
-            for v, behavior in sorted(plan.behaviors, key=lambda p: repr(p[0]))
-        ]
-    }
-
-
-def byzantine_plan_from_dict(data: dict | None) -> "ByzantinePlan | None":
-    """Inverse of :func:`byzantine_plan_to_dict`."""
-    from repro.local_model.adversary import ByzantinePlan
-
-    if data is None:
-        return None
-    return ByzantinePlan(
-        behaviors=tuple(
-            (_vertex_from_json(v), behavior)
-            for v, behavior in data.get("behaviors", ())
-        )
-    )
-
-
-def sim_spec_to_dict(spec: "SimulationSpec") -> dict:
-    """JSON-ready dict for a :class:`repro.api.SimulationSpec`.
-
-    Adversarial fields are *default-skipping*: ``churn``/``byzantine``
-    appear only when set and non-trivial, ``delay`` only when it
-    differs from the default — so specs without adversarial features
-    serialise to exactly their pre-adversarial bytes (and a trivial
-    plan deliberately round-trips to ``None``).
-    """
-    data = {
-        "algorithm": spec.algorithm,
-        "model": spec.model,
-        "budget": spec.budget,
-        "max_rounds": spec.max_rounds,
-        "trace": spec.trace,
-        "seed": spec.seed,
-        "faults": fault_plan_to_dict(spec.faults),
-        "ids": spec.ids,
-    }
-    if spec.churn is not None and not spec.churn.is_trivial:
-        data["churn"] = churn_plan_to_dict(spec.churn)
-    if spec.byzantine is not None and not spec.byzantine.is_trivial:
-        data["byzantine"] = byzantine_plan_to_dict(spec.byzantine)
-    if spec.delay != 2:
-        data["delay"] = spec.delay
-    return data
-
-
-def sim_spec_from_dict(data: dict) -> "SimulationSpec":
-    """Inverse of :func:`sim_spec_to_dict`."""
-    from repro.api.simulation import SimulationSpec
-
-    return SimulationSpec(
-        algorithm=data["algorithm"],
-        model=data.get("model", "local"),
-        budget=data.get("budget", 4),
-        max_rounds=data.get("max_rounds", 10_000),
-        trace=data.get("trace", "stats"),
-        seed=data.get("seed", 0),
-        faults=fault_plan_from_dict(data.get("faults")),
-        ids=data.get("ids", "identity"),
-        churn=churn_plan_from_dict(data.get("churn")),
-        byzantine=byzantine_plan_from_dict(data.get("byzantine")),
-        delay=data.get("delay", 2),
-    )
-
-
-def sim_report_to_dict(report: "SimReport") -> dict:
-    """JSON-ready dict for a :class:`repro.api.SimReport`.
-
-    ``outputs`` is a vertex-sorted pair list (JSON objects cannot carry
-    non-string keys); non-JSON-able outputs are dropped, like result
-    metadata.  The layout contains no wall-clock data, so equal runs
-    serialise to equal bytes.  Adversarial tallies (delays, churn,
-    suspicion, failures, timeout) are default-skipping: a benign run's
-    JSON is byte-identical to the pre-adversarial layout.
-    """
-    data = {
-        "algorithm": report.algorithm,
-        "problem": report.problem,
-        "model": report.model,
-        "instance": {k: v for k, v in report.instance.items() if _jsonable(v)},
-        "spec": None if report.spec is None else sim_spec_to_dict(report.spec),
-        "outputs": [
-            [v, output]
-            for v, output in sorted(report.outputs.items(), key=lambda kv: repr(kv[0]))
-            if _jsonable(output)
-        ],
-        "rounds": report.rounds,
-        "total_messages": report.total_messages,
-        "total_payload": report.total_payload,
-        "dropped_messages": report.dropped_messages,
-        "swallowed_messages": report.swallowed_messages,
-        "crashed": sorted(report.crashed, key=repr),
-        "round_stats": None
-        if report.round_stats is None
-        else [
-            {
-                "round_index": s.round_index,
-                "messages": s.messages,
-                "payload_units": s.payload_units,
-            }
-            for s in report.round_stats
-        ],
-    }
-    if report.delayed_messages:
-        data["delayed_messages"] = report.delayed_messages
-    if report.churn_events:
-        data["churn_events"] = report.churn_events
-    if report.churn_lost_messages:
-        data["churn_lost_messages"] = report.churn_lost_messages
-    if report.suspicion:
-        data["suspicion"] = [
-            [v, tallies]
-            for v, tallies in sorted(
-                report.suspicion.items(), key=lambda kv: repr(kv[0])
-            )
-        ]
-    if report.failed:
-        data["failed"] = sorted(report.failed, key=repr)
-    if report.timed_out:
-        data["timed_out"] = True
-    return data
+    encode: Callable[[Any], Any] = lambda value: value
+    decode: Callable[[Any], Any] = lambda value: value
+    optional: bool = False
 
 
 def _vertex_from_json(value: object) -> object:
@@ -452,62 +182,191 @@ def _vertex_from_json(value: object) -> object:
     return value
 
 
-def sim_report_from_dict(data: dict) -> "SimReport":
-    """Inverse of :func:`sim_report_to_dict`."""
-    from repro.api.simulation import SimReport
-    from repro.local_model.instrumentation import RoundStats
+def _jsonable(value: object) -> bool:
+    try:
+        json.dumps(value)
+        return True
+    except (TypeError, ValueError):
+        return False
 
-    round_stats = None
-    if data.get("round_stats") is not None:
-        round_stats = [RoundStats(**s) for s in data["round_stats"]]
-    return SimReport(
-        algorithm=data["algorithm"],
-        problem=data["problem"],
-        model=data.get("model", "local"),
-        instance=dict(data.get("instance", {})),
-        spec=None if data.get("spec") is None else sim_spec_from_dict(data["spec"]),
-        outputs={
-            _vertex_from_json(v): output for v, output in data.get("outputs", [])
-        },
-        rounds=data.get("rounds", 0),
-        total_messages=data.get("total_messages", 0),
-        total_payload=data.get("total_payload", 0),
-        dropped_messages=data.get("dropped_messages", 0),
-        swallowed_messages=data.get("swallowed_messages", 0),
-        crashed=tuple(_vertex_from_json(v) for v in data.get("crashed", ())),
-        round_stats=round_stats,
-        delayed_messages=data.get("delayed_messages", 0),
-        churn_events=data.get("churn_events", 0),
-        churn_lost_messages=data.get("churn_lost_messages", 0),
-        suspicion={
-            _vertex_from_json(v): dict(tallies)
-            for v, tallies in data.get("suspicion", ())
-        },
-        failed=tuple(_vertex_from_json(v) for v in data.get("failed", ())),
-        timed_out=data.get("timed_out", False),
+
+@cache
+def _walk(cls: type) -> tuple:
+    """``(name, field codec, encoded default)`` per field of ``cls``."""
+    walk = []
+    for f in fields(cls):
+        codec = _LAYOUT[cls].get(f.name, _Field())
+        default = None
+        if codec.optional:
+            default = codec.encode(
+                f.default if f.default is not MISSING else f.default_factory()
+            )
+        walk.append((f.name, codec, default))
+    return tuple(walk)
+
+
+def to_dict(record: object) -> dict | None:
+    """JSON-ready dict for any record type in the layout (``None`` passes
+    through).  Deterministic: equal records encode to equal bytes."""
+    if record is None:
+        return None
+    data = {}
+    for name, codec, default in _walk(type(record)):
+        value = codec.encode(getattr(record, name))
+        if not (codec.optional and value == default):
+            data[name] = value
+    return data
+
+
+def from_dict(cls: type, data: dict | None) -> object:
+    """Inverse of :func:`to_dict` for a record of type ``cls``.
+
+    Missing fields take the dataclass default; unknown keys are ignored.
+    """
+    if data is None:
+        return None
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    kwargs = {name: codec.decode(data[name]) for name, codec, _ in _walk(cls) if name in data}
+    return cls(**kwargs)
+
+
+def _nested(cls: type) -> _Field:
+    """A field holding another record (or ``None``)."""
+    return _Field(to_dict, partial(from_dict, cls))
+
+
+def _vertices(container: type, optional: bool = False) -> _Field:
+    """A vertex collection, ``repr``-sorted on the wire."""
+    return _Field(
+        lambda vertices: sorted(vertices, key=repr),
+        lambda vertices: container(map(_vertex_from_json, vertices)),
+        optional,
     )
 
 
-def save_sim_reports(reports: "Iterable[SimReport]", path: str | Path) -> None:
-    """Persist a batch of simulation reports (a `simulate_many` sweep)."""
-    payload = [sim_report_to_dict(r) for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=1))
+def _vertex_pairs(
+    container: type,
+    key: Callable[[tuple], object] = lambda pair: repr(pair[0]),
+    keep: Callable[[object], bool] = lambda value: True,
+    optional: bool = False,
+) -> _Field:
+    """``(vertex, value)`` pairs, or a vertex-keyed dict (JSON object keys
+    must be strings), as a ``key``-sorted ``[vertex, value]`` list;
+    values failing ``keep`` are dropped."""
+
+    def encode(pairs):
+        items = pairs.items() if isinstance(pairs, dict) else pairs
+        return [[v, value] for v, value in sorted(items, key=key) if keep(value)]
+
+    return _Field(
+        encode,
+        lambda pairs: container((_vertex_from_json(v), value) for v, value in pairs),
+        optional,
+    )
 
 
-def load_sim_reports(path: str | Path) -> "list[SimReport]":
-    """Inverse of :func:`save_sim_reports`."""
-    return [sim_report_from_dict(d) for d in json.loads(Path(path).read_text())]
+#: Non-JSON values (live objects in metadata, say) are dropped.
+_JSON_VALUES = _Field(lambda d: {k: v for k, v in d.items() if _jsonable(v)}, dict)
+_OPTIONAL = _Field(optional=True)
 
 
-def save_run_reports(reports: "Iterable[RunReport]", path: str | Path) -> None:
-    """Persist a batch of run reports (e.g. a `solve_many` sweep)."""
-    payload = [run_report_to_dict(r) for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=1))
+def _plan(cls: type) -> _Field:
+    """An adversarial plan: trivial plans encode to ``None`` and are left
+    out, so they come back as ``None``."""
+    return _Field(
+        lambda plan: None if plan is None or plan.is_trivial else to_dict(plan),
+        partial(from_dict, cls),
+        optional=True,
+    )
 
 
-def load_run_reports(path: str | Path) -> "list[RunReport]":
-    """Inverse of :func:`save_run_reports`."""
-    return [run_report_from_dict(d) for d in json.loads(Path(path).read_text())]
+#: The wire layout, the one place it is decided: per record type, the
+#: fields that do not travel as their plain value.  Every record type
+#: the codec accepts is a key, and fields keep declaration order.
+_LAYOUT: dict[type, dict[str, _Field]] = {
+    AlgorithmResult: {
+        "solution": _vertices(set),
+        "phases": _Field(
+            lambda phases: {k: sorted(v, key=repr) for k, v in phases.items()},
+            lambda phases: {k: set(map(_vertex_from_json, v)) for k, v in phases.items()},
+        ),
+        "round_breakdown": _Field(dict, dict),
+        "metadata": _JSON_VALUES,
+    },
+    RadiusPolicy: {},
+    RunConfig: {"policy": _nested(RadiusPolicy)},
+    RunReport: {
+        "instance": _JSON_VALUES,
+        "result": _nested(AlgorithmResult),
+        "config": _nested(RunConfig),
+    },
+    FaultPlan: {
+        "crashed": _vertices(tuple),
+        "crash_schedule": _vertex_pairs(
+            tuple, key=lambda pair: (pair[1], repr(pair[0])), optional=True
+        ),
+    },
+    ChurnPlan: {
+        # Events travel as positional [round, kind, u, v] rows, in plan
+        # order (application order matters within a round).
+        "events": _Field(
+            lambda events: [[e.round, e.kind, e.u, e.v] for e in events],
+            lambda rows: tuple(ChurnEvent(*map(_vertex_from_json, row)) for row in rows),
+        ),
+    },
+    ByzantinePlan: {"behaviors": _vertex_pairs(tuple)},
+    SimulationSpec: {
+        "faults": _nested(FaultPlan),
+        "churn": _plan(ChurnPlan),
+        "byzantine": _plan(ByzantinePlan),
+        "delay": _OPTIONAL,
+    },
+    RoundStats: {},
+    SimReport: {
+        "instance": _JSON_VALUES,
+        "spec": _nested(SimulationSpec),
+        "outputs": _vertex_pairs(dict, keep=_jsonable),
+        "crashed": _vertices(tuple),
+        "round_stats": _Field(
+            lambda stats: None if stats is None else [to_dict(s) for s in stats],
+            lambda rows: None if rows is None else [from_dict(RoundStats, r) for r in rows],
+        ),
+        "delayed_messages": _OPTIONAL,
+        "churn_events": _OPTIONAL,
+        "churn_lost_messages": _OPTIONAL,
+        "suspicion": _vertex_pairs(dict, optional=True),
+        "failed": _vertices(tuple, optional=True),
+        "timed_out": _OPTIONAL,
+    },
+}
+
+# The per-type names callers import are bindings of the one codec.
+result_to_dict = run_config_to_dict = run_report_to_dict = to_dict
+fault_plan_to_dict = churn_plan_to_dict = byzantine_plan_to_dict = to_dict
+sim_spec_to_dict = sim_report_to_dict = to_dict
+result_from_dict = partial(from_dict, AlgorithmResult)
+run_config_from_dict = partial(from_dict, RunConfig)
+run_report_from_dict = partial(from_dict, RunReport)
+fault_plan_from_dict = partial(from_dict, FaultPlan)
+churn_plan_from_dict = partial(from_dict, ChurnPlan)
+byzantine_plan_from_dict = partial(from_dict, ByzantinePlan)
+sim_spec_from_dict = partial(from_dict, SimulationSpec)
+sim_report_from_dict = partial(from_dict, SimReport)
+
+
+def _save_reports(reports: Iterable[object], path: str | Path) -> None:
+    """Persist a batch of reports (a `solve_many`/`simulate_many` sweep)."""
+    Path(path).write_text(json.dumps([to_dict(r) for r in reports], indent=1))
+
+
+def _load_reports(cls: type, path: str | Path) -> list:
+    return [from_dict(cls, d) for d in json.loads(Path(path).read_text())]
+
+
+save_run_reports = save_sim_reports = _save_reports
+load_run_reports = partial(_load_reports, RunReport)
+load_sim_reports = partial(_load_reports, SimReport)
 
 
 def counted_payload(key: str, items: list, **extra: object) -> dict:
@@ -519,14 +378,6 @@ def counted_payload(key: str, items: list, **extra: object) -> dict:
     observable job queue with it (plus ``capacity`` as an extra).
     """
     return {key: list(items), "count": len(items), **extra}
-
-
-def _jsonable(value: object) -> bool:
-    try:
-        json.dumps(value)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def save_rows(rows: list[dict], path: str | Path) -> None:

@@ -74,7 +74,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown: drop the connection after
+            # answering rather than parse leftover bytes as a request.
+            self.close_connection = True
+            raise SpecError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw or b"null")

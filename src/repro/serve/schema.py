@@ -1,12 +1,12 @@
 """Wire schema: parse a job-submission payload into an executable plan.
 
-The schema deliberately reuses the repo's existing JSON round-trips —
-``config`` is :func:`repro.io.run_config_from_dict`'s shape, simulate
-specs are :func:`repro.io.sim_spec_from_dict`'s shape, inline graphs
-are :func:`repro.io.graph_from_dict`'s shape — and the CLI's shared
-helpers (:func:`repro.api.config.run_config_from_options`,
-:func:`repro.api.config.parse_faults`), so the serve front door and the
-batch CLI accept the same vocabulary and cannot drift.
+The schema deliberately reuses the repo's existing JSON vocabulary —
+``config`` and simulate specs are decoded by the :mod:`repro.io` record
+codec, inline graphs are :func:`repro.io.graph_from_dict`'s shape — and
+the CLI's shared helpers (:func:`repro.api.config.run_config_from_options`
+and the ``parse_faults``/``parse_churn``/``parse_byzantine`` grammars
+for string-form plans), so the serve front door and the batch CLI
+accept the same vocabulary and cannot drift.
 
 A solve job::
 
@@ -50,14 +50,7 @@ from repro.api.registry import (
 from repro.api.simulation import SimulationSpec
 from repro.graphs.families import FAMILIES
 from repro.graphs.kernel import KernelWire, kernel_for
-from repro.io import (
-    byzantine_plan_to_dict,
-    churn_plan_to_dict,
-    fault_plan_to_dict,
-    graph_from_dict,
-    run_config_from_dict,
-    sim_spec_from_dict,
-)
+from repro.io import graph_from_dict, run_config_from_dict, sim_spec_from_dict
 from repro.serve.instances import InstanceCache, wire_digest
 
 KINDS = ("solve", "simulate")
@@ -176,8 +169,10 @@ def _parse_instance(spec: object):
                 f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
             )
         size = spec.get("size")
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise SpecError(f"family instance needs an integer 'size', got {size!r}")
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise SpecError(
+                f"family instance needs a positive integer 'size', got {size!r}"
+            )
         seed = spec.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise SpecError(f"instance 'seed' must be an integer, got {seed!r}")
@@ -238,35 +233,30 @@ def _parse_sim_specs(raw: object) -> tuple[SimulationSpec, ...]:
     return tuple(_parse_sim_spec(spec) for spec in raw)
 
 
+#: Plan fields that also accept the CLI's string grammar.
+_PLAN_PARSERS = {
+    "faults": parse_faults,
+    "churn": parse_churn,
+    "byzantine": parse_byzantine,
+}
+
+
 def _parse_sim_spec(spec: object) -> SimulationSpec:
     if not isinstance(spec, dict) or "algorithm" not in spec:
         raise SpecError(f"simulate spec must be an object with 'algorithm', got {spec!r}")
-    data = dict(spec)
-    faults = data.get("faults")
-    if isinstance(faults, str):
-        # The CLI's fault grammar, shared verbatim (satellite contract:
-        # one parser for --faults and the wire field).
-        try:
-            data["faults"] = fault_plan_to_dict(parse_faults(faults))
-        except ValueError as error:
-            raise SpecError(f"invalid fault plan {faults!r}: {error}") from error
-    churn = data.get("churn")
-    if isinstance(churn, str):
-        try:
-            plan = parse_churn(churn)
-            data["churn"] = None if plan is None else churn_plan_to_dict(plan)
-        except ValueError as error:
-            raise SpecError(f"invalid churn plan {churn!r}: {error}") from error
-    byzantine = data.get("byzantine")
-    if isinstance(byzantine, str):
-        try:
-            plan = parse_byzantine(byzantine)
-            data["byzantine"] = None if plan is None else byzantine_plan_to_dict(plan)
-        except ValueError as error:
-            raise SpecError(
-                f"invalid byzantine plan {byzantine!r}: {error}"
-            ) from error
+    # String-form plans go through the CLI's parsers (one grammar for
+    # --faults/--churn/--byzantine and the wire fields); the parsed
+    # plans replace the string fields of the decoded spec.
+    plans = {}
+    for name, parse in _PLAN_PARSERS.items():
+        text = spec.get(name)
+        if isinstance(text, str):
+            try:
+                plans[name] = parse(text)
+            except ValueError as error:
+                raise SpecError(f"invalid '{name}' plan {text!r}: {error}") from error
     try:
-        return sim_spec_from_dict(data)
+        decoded = sim_spec_from_dict({k: v for k, v in spec.items() if k not in plans})
+        return decoded.with_(**plans)
     except (KeyError, TypeError, ValueError) as error:
         raise SpecError(f"invalid simulate spec: {error}") from error

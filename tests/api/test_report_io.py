@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import networkx as nx
 import pytest
 
 from repro.api import RunConfig, RunReport, solve, solve_many
@@ -42,14 +43,17 @@ class TestConfigRoundtrip:
 
 
 class TestReportRoundtrip:
-    def test_full_report_roundtrip(self):
-        graph = get_family("ladder").make(12, 0)
-        report = solve(
-            graph,
-            "algorithm1",
-            RunConfig(validate="ratio"),
-            meta={"family": "ladder", "size": 12, "seed": 0},
-        )
+    @pytest.mark.parametrize(
+        "graph, meta",
+        [
+            (get_family("ladder").make(12, 0), {"family": "ladder", "size": 12, "seed": 0}),
+            # Tuple vertex labels: JSON lists must come back hashable.
+            (nx.grid_2d_graph(3, 3), {"family": "grid", "size": 9}),
+        ],
+        ids=["ladder", "grid"],
+    )
+    def test_full_report_roundtrip(self, graph, meta):
+        report = solve(graph, "algorithm1", RunConfig(validate="ratio"), meta=meta)
         back = _roundtrip(report)
         assert back.algorithm == report.algorithm
         assert back.problem == report.problem
@@ -140,3 +144,5 @@ RUN_REPORT_PINS = {
 def test_run_report_byte_layout_pin(case):
     text = json.dumps(run_report_to_dict(_pin_reports()[case]))
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_REPORT_PINS[case]
+    # ... and the decoder reads those bytes back to the same record.
+    assert json.dumps(run_report_to_dict(run_report_from_dict(json.loads(text)))) == text

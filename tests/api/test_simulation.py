@@ -20,15 +20,16 @@ from repro.api import (
 )
 from repro.graphs import generators as gen
 from repro.io import (
-    byzantine_plan_to_dict,
-    churn_plan_to_dict,
-    fault_plan_to_dict,
+    byzantine_plan_from_dict,
+    churn_plan_from_dict,
+    fault_plan_from_dict,
     load_sim_reports,
     save_sim_reports,
     sim_report_from_dict,
     sim_report_to_dict,
     sim_spec_from_dict,
     sim_spec_to_dict,
+    to_dict,
 )
 from repro.local_model.adversary import ByzantinePlan, ChurnEvent, ChurnPlan
 from repro.local_model.engine import MessageTooLargeError
@@ -284,9 +285,9 @@ class TestAdversarialSpecs:
         assert dump(serial) == dump(parallel)
 
 
-def _pin_payloads():
+def _pin_records():
     """Hand-built specs, plans and reports covering every layout rule of
-    the simulation codec, already encoded."""
+    the simulation codec, with the decoder that reads each back."""
     every_plan = SimulationSpec(
         algorithm="d2",
         model="async",
@@ -374,15 +375,15 @@ def _pin_payloads():
         failed=((0, 1),),
     )
     return {
-        "spec_every_plan": sim_spec_to_dict(every_plan),
-        "spec_trivial_plans": sim_spec_to_dict(trivial_plans),
-        "plan_trivial_faults": fault_plan_to_dict(FaultPlan()),
-        "plan_trivial_churn": churn_plan_to_dict(ChurnPlan()),
-        "plan_trivial_byzantine": byzantine_plan_to_dict(ByzantinePlan()),
-        "plan_none": fault_plan_to_dict(None),
-        "report_full_trace": sim_report_to_dict(full_trace),
-        "report_adversarial": sim_report_to_dict(adversarial),
-        "report_tuple_labels": sim_report_to_dict(tuple_labels),
+        "spec_every_plan": (every_plan, sim_spec_from_dict),
+        "spec_trivial_plans": (trivial_plans, sim_spec_from_dict),
+        "plan_trivial_faults": (FaultPlan(), fault_plan_from_dict),
+        "plan_trivial_churn": (ChurnPlan(), churn_plan_from_dict),
+        "plan_trivial_byzantine": (ByzantinePlan(), byzantine_plan_from_dict),
+        "plan_none": (None, fault_plan_from_dict),
+        "report_full_trace": (full_trace, sim_report_from_dict),
+        "report_adversarial": (adversarial, sim_report_from_dict),
+        "report_tuple_labels": (tuple_labels, sim_report_from_dict),
     }
 
 
@@ -404,5 +405,8 @@ SIM_PINS = {
 
 @pytest.mark.parametrize("case", sorted(SIM_PINS))
 def test_simulation_byte_layout_pin(case):
-    text = json.dumps(_pin_payloads()[case])
+    record, decode = _pin_records()[case]
+    text = json.dumps(to_dict(record))
     assert hashlib.sha256(text.encode()).hexdigest() == SIM_PINS[case]
+    # ... and the decoder reads those bytes back to the same record.
+    assert json.dumps(to_dict(decode(json.loads(text)))) == text

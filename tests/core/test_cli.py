@@ -275,13 +275,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "--family", "fan", "--algorithm", "nope"])
 
-    def test_algorithms_dict_shim_deprecated(self):
-        import warnings
+    @pytest.mark.parametrize("size", ["-5", "0", "many"])
+    def test_non_positive_size_is_usage_error(self, size, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--family", "path", "--size", size, "--algorithm", "greedy"])
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
-        import repro.cli as cli
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            algorithms = cli.ALGORITHMS
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert set(algorithm_names("mds")) == set(algorithms)
+    def test_non_positive_sweep_size_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "run", "--dir", str(tmp_path / "run"), "--sizes", "8,-5"])
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

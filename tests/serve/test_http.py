@@ -161,6 +161,22 @@ class TestErrorMapping:
         assert status == 400
         assert "not valid JSON" in json.loads(data)["error"]
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, serve, length):
+        conn = HTTPConnection("127.0.0.1", serve.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        # The server is still healthy afterwards.
+        assert serve.json("GET", "/healthz")[0] == 200
+
     def test_bad_spec_is_400(self, serve):
         status, _, body = serve.json(
             "POST", "/jobs", _solve_payload(instances=[{"family": "warp", "size": 5}])

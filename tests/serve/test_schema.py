@@ -213,6 +213,9 @@ class TestRejections:
             _solve_payload(instances=[{"family": "no_such_family", "size": 5}]),
             _solve_payload(instances=[{"family": "fan"}]),
             _solve_payload(instances=[{"family": "fan", "size": "big"}]),
+            # Non-positive sizes are refused at admission, not at run time.
+            _solve_payload(instances=[{"family": "path", "size": -5}]),
+            _solve_payload(instances=[{"family": "path", "size": 0}]),
             _solve_payload(instances=[{"family": "fan", "size": 5, "seed": 1.5}]),
             _solve_payload(instances=[{"size": 5}]),
             _solve_payload(instances=[{"graph": {"nodes": [[1, 2]], "edges": []}}]),
@@ -222,6 +225,7 @@ class TestRejections:
             _solve_payload(validate="extremely"),
             _solve_payload(solver="quantum"),
             _solve_payload(config="milp"),
+            _solve_payload(config={"policy": {"one_cut_radius": 2}}),
             _solve_payload(timeout=-1),
             _solve_payload(timeout=True),
             _simulate_payload(specs=[]),
@@ -233,6 +237,8 @@ class TestRejections:
             _simulate_payload(specs=[{"algorithm": "d2", "churn": "add:0-1"}]),
             _simulate_payload(specs=[{"algorithm": "d2", "byzantine": "wat=3"}]),
             _simulate_payload(specs=[{"algorithm": "d2", "delay": -1}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "faults": [0.5]}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "churn": 3}]),
             # `exact` ships no message-passing protocol for the engine.
             _simulate_payload(specs=[{"algorithm": "exact"}]),
         ],
