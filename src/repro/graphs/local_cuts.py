@@ -28,12 +28,44 @@ a cut test is a masked flood fill on the arena mask, and no
 ``nx.Graph.subgraph`` object is ever materialized.  Each vertex's
 radius-``r`` ball mask is computed **once per (kernel, r)** and reused
 across every pair the vertex participates in (the ball-mask arena
-cache), so enumerating all r-local 2-cuts costs one ball BFS per vertex
-plus one or two flood fills per candidate pair — instead of the
-historical O(n·|ball|) fresh-subgraph + networkx-connectivity calls.
-The cache is registered as a kernel derived cache:
-``invalidate_kernel(graph)`` clears it, and a kernel rebuild (node-count
-change) orphans it automatically.
+cache).
+
+Most candidate pairs are not cuts, and a cheap local certificate says
+so before any arena fill.  **Lemma.** Let ``ρ = min(r, 2)`` and let
+``{u, v}`` (``v ∈ N^r[u]``) be a minimal 2-cut of its arena ``H``.  Then
+``N(u) − v`` meets at least two components of ``G[N^ρ[u]] − {u, v}``,
+and symmetrically for ``v``.  *Proof sketch.*  ``H`` is connected (two
+overlapping balls).  A component ``C`` of ``H − {u, v}`` with no
+neighbor of ``u`` has ``v`` as its only attachment, so ``v`` alone
+separates ``C`` from ``u`` and the cut is not minimal; hence every
+component touches ``u``, and ``N(u) − v`` meets all of them — at least
+two.  ``G[N^ρ[u]] − {u, v}`` is a subgraph of ``H − {u, v}``, so vertices
+it links are linked in ``H − {u, v}`` too.  With ``v = u`` the same
+argument is the 1-cut certificate: every component of ``H − u`` holds a
+neighbor of ``u``, so ``{u}`` is an r-local 1-cut only if ``N(u)`` is
+unlinked in ``G[N^ρ[u]] − u`` (and exactly then when ``r ≤ 2``).
+
+The per-vertex **partner mask** holds the ``v`` that pass ``u``'s side
+of the certificate (bit ``u`` itself: the 1-cut side).  It is computed
+once per (kernel, ρ) from ``u``'s link.  When ``G[N(u) − v]`` is still
+connected the pair is rejected with no region fill at all, which keeps
+hub vertices cheap; and only an inner vertex of a BFS spanning tree
+(of the link, or of the region) can unlink the link, so tree leaves
+are rejected without a fill too.  Minimal 2-cut and 1-cut enumeration,
+the point tests and interesting-vertex detection run their arena fills
+only on pairs that pass both partner masks; ``minimal=False`` is
+outside the lemma and tests every pair.  The same argument, run the
+other way, decides a passing pair in one pass over the components of
+``H − {u, v}``: ``{u, v}`` is a minimal cut exactly when there are two
+or more and each touches both ``u`` and ``v``.  Both tables are
+registered kernel derived caches: ``invalidate_kernel(graph)`` clears
+them, and a kernel rebuild (node-count change) orphans them
+automatically.
+
+Everything here is int-mask arithmetic on ``closed_bits``; on the
+packed backend every entry point raises the packed kernel's
+``closed_bits`` error, which names the int backend, before any mask
+work.
 """
 
 from __future__ import annotations
@@ -53,49 +85,193 @@ from repro.graphs.util import ball_of_set
 
 Vertex = Hashable
 
-# Ball-mask arena cache: graph -> {"kernel": GraphKernel, radius: [mask|None]*n}.
-# Masks fill lazily per vertex; the whole entry is dropped when the
+# Per-kernel lookup tables, graph -> {"kernel": GraphKernel, key: [value|None]*n}.
+# Entries fill lazily per vertex; the whole entry is dropped when the
 # graph's kernel object changes or invalidate_kernel is called.
+# Ball masks are keyed by radius r, partner masks by the certificate
+# radius ρ (so the 1-cut and 2-cut radii of a policy share one table).
 _BALL_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = weakref.WeakKeyDictionary()
 register_derived_cache(_BALL_CACHE)
+_PARTNER_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = weakref.WeakKeyDictionary()
+register_derived_cache(_PARTNER_CACHE)
 
 
-def _ball_masks(graph: nx.Graph, kernel: GraphKernel, radius: int) -> list:
-    """The (lazily filled) per-vertex radius-``radius`` ball-mask table."""
+def _kernel_table(
+    cache: weakref.WeakKeyDictionary, graph: nx.Graph, kernel: GraphKernel, key: int
+) -> list:
+    """The (lazily filled) per-vertex table ``cache[graph][key]`` of ``kernel``."""
     try:
-        entry = _BALL_CACHE.get(graph)
+        entry = cache.get(graph)
     except TypeError:  # graph type that cannot be weak-referenced
         return [None] * kernel.n
     if entry is None or entry["kernel"] is not kernel:
         entry = {"kernel": kernel}
         try:
-            _BALL_CACHE[graph] = entry
+            cache[graph] = entry
         except TypeError:
             return [None] * kernel.n
-    table = entry.get(radius)
+    table = entry.get(key)
     if table is None:
-        table = entry[radius] = [None] * kernel.n
+        table = entry[key] = [None] * kernel.n
     return table
 
 
-def _ball_mask(kernel: GraphKernel, table: list, i: int, radius: int) -> int:
-    mask = table[i]
-    if mask is None:
-        mask = table[i] = kernel.ball_bits(kernel.labels[i], radius)
-    return mask
+def _spanning_fill(kernel: GraphKernel, root: int, within: int) -> tuple[int, int]:
+    """Component of ``G[within]`` holding vertex ``root``, and the inner
+    (non-leaf) vertices of a BFS tree of it.
 
-
-def _splits_arena(kernel: GraphKernel, arena: int, cut_mask: int) -> bool:
-    """Whether removing ``cut_mask`` disconnects the arena.
-
-    Arenas are balls or unions of overlapping balls, hence connected, so
-    "is a cut of ``H``" reduces to: the rest is non-empty and not one
-    component (a single flood fill).
+    Removing a leaf of a spanning tree leaves the rest of the component
+    connected, so only inner vertices can separate it.
     """
-    rest = arena & ~cut_mask
-    if not rest:
+    closed = kernel.closed_bits
+    seen = 1 << root
+    inner = 0
+    frontier = [root]
+    while frontier:
+        grown = []
+        for x in frontier:
+            children = closed[x] & within & ~seen
+            if children:
+                inner |= 1 << x
+                seen |= children
+                grown.extend(iter_bits(children))
+        frontier = grown
+    return seen, inner
+
+
+def _link_partners(kernel: GraphKernel, u: int, rho: int) -> int:
+    """The partner mask of ``u``: every ``v`` passing ``u``'s certificate side.
+
+    ``v`` passes when ``N(u) − v`` meets two or more components of
+    ``G[N^ρ[u]] − {u, v}``.  For ``v = u`` (bit ``u``) and for every
+    ``v`` outside ``N^ρ[u]`` that is the same question about ``N(u)`` in
+    ``G[N^ρ[u]] − u``.
+    """
+    closed = kernel.closed_bits
+    u_bit = 1 << u
+    link = closed[u] & ~u_bit
+    if not link:
+        return 0
+    root = (link & -link).bit_length() - 1
+    region = (link if rho == 1 else kernel.closed_neighborhood_bits(link)) & ~u_bit
+    link_part, candidates = _spanning_fill(kernel, root, link)
+    if link_part != link:
+        component, candidates = _spanning_fill(kernel, root, region)
+        if link & ~component:
+            return _unlinked_partners(kernel, link, region, component)
+    # N(u) is linked, and only an inner vertex of the spanning tree (of
+    # G[N(u)] when that is connected, else of G[N^ρ[u]] − u) can unlink it.
+    partners = 0
+    for v in iter_bits(candidates):
+        v_bit = 1 << v
+        rest = link & ~v_bit
+        if v_bit & link and kernel.is_mask_connected(rest):
+            continue
+        if rest & ~kernel.component_bits(rest & -rest, region & ~v_bit):
+            partners |= v_bit
+    return partners
+
+
+def _unlinked_partners(kernel: GraphKernel, link: int, region: int, component: int) -> int:
+    """Partner mask of a vertex whose link meets several components of its
+    region (``component`` is one of them).
+
+    Removing a vertex off the link only splits components further, so
+    it passes.  So does every link vertex, unless the link meets exactly
+    two components and it is the only link vertex in its component.
+    """
+    parts = [link & component]
+    rest = link & ~component
+    while rest:
+        component = kernel.component_bits(rest & -rest, region)
+        parts.append(link & component)
+        rest &= ~component
+    partners = kernel.full_mask & ~link
+    for part in parts:
+        if len(parts) > 2 or part & (part - 1):
+            partners |= part
+    return partners
+
+
+class _Arenas:
+    """Radius-``r`` local-cut state of one graph: its ball and partner tables.
+
+    Construction reads ``kernel.closed_bits`` first, so the packed
+    backend (which keeps no such table) fails with its own error, naming
+    the int backend, instead of a ``TypeError`` deep in the mask work.
+    """
+
+    __slots__ = ("kernel", "closed", "r", "rho", "balls", "partners")
+
+    def __init__(self, graph: nx.Graph, r: int):
+        kernel = kernel_for(graph)
+        self.closed = kernel.closed_bits
+        self.kernel = kernel
+        self.r = r
+        # ρ = min(r, 2), kept ≥ 1 so the link lies in the region; for
+        # r < 1 there are no local cuts, so any filter is sound there.
+        self.rho = max(1, min(r, 2))
+        self.balls = _kernel_table(_BALL_CACHE, graph, kernel, r)
+        self.partners = _kernel_table(_PARTNER_CACHE, graph, kernel, self.rho)
+
+    def ball(self, i: int) -> int:
+        """``N^r[i]`` as a mask, computed on first use."""
+        mask = self.balls[i]
+        if mask is None:
+            mask = self.balls[i] = self.kernel.ball_bits(self.kernel.labels[i], self.r)
+        return mask
+
+    def partner_mask(self, i: int) -> int:
+        """``i``'s partner mask (see :func:`_link_partners`), computed on first use."""
+        mask = self.partners[i]
+        if mask is None:
+            mask = self.partners[i] = _link_partners(self.kernel, i, self.rho)
+        return mask
+
+    def one_cut(self, i: int) -> bool:
+        """Whether ``{i}`` separates its (connected) ball."""
+        if not self.partner_mask(i) >> i & 1:
+            return False
+        return not self.kernel.is_mask_connected(self.ball(i) & ~(1 << i))
+
+    def two_cut(self, u: int, v: int, minimal: bool) -> bool:
+        """Pair test; assumes ``u != v`` and ``v`` in ``ball(u)``.
+
+        The arena ``H`` is connected, so ``{u, v}`` is a minimal cut of
+        it exactly when ``H − {u, v}`` has two or more components and
+        each holds a neighbor of ``u`` and one of ``v`` (a component
+        missing ``u`` is cut off by ``v`` alone, and vice versa): one
+        pass over the components instead of three flood fills.
+        """
+        if minimal and not (
+            self.partner_mask(u) >> v & 1 and self.partner_mask(v) >> u & 1
+        ):
+            return False
+        rest = (self.ball(u) | self.ball(v)) & ~((1 << u) | (1 << v))
+        if not minimal:
+            return not self.kernel.is_mask_connected(rest)
+        n_u, n_v = self.closed[u], self.closed[v]
+        count = 0
+        for comp in self.kernel.components_of_mask(rest):
+            if not (comp & n_u and comp & n_v):
+                return False
+            count += 1
+        return count >= 2
+
+    def certifies_interesting(self, u: int, v: int) -> bool:
+        """Interesting-ness conditions for ``v`` with cut partner ``u``."""
+        n_u = self.closed[u]
+        if not self.closed[v] & ~n_u:  # first condition: N[v] ⊄ N[u]
+            return False
+        arena = self.ball(u) | self.ball(v)
+        rest = arena & ~((1 << u) | (1 << v))
+        witnesses = 0
+        for comp in self.kernel.components_of_mask(rest):
+            if comp & ~n_u:
+                witnesses += 1
+                if witnesses >= 2:
+                    return True
         return False
-    return not kernel.is_mask_connected(rest)
 
 
 def local_cut_subgraph(graph: nx.Graph, cut: set[Vertex], r: int) -> nx.Graph:
@@ -105,36 +281,15 @@ def local_cut_subgraph(graph: nx.Graph, cut: set[Vertex], r: int) -> nx.Graph:
 
 def is_local_one_cut(graph: nx.Graph, v: Vertex, r: int) -> bool:
     """Return whether ``{v}`` is an r-local (minimal) 1-cut of ``graph``."""
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    i = kernel.index_of[v]
-    return _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
+    arenas = _Arenas(graph, r)
+    return arenas.one_cut(arenas.kernel.index_of[v])
 
 
 def local_one_cuts(graph: nx.Graph, r: int) -> set[Vertex]:
     """Return all vertices that form r-local minimal 1-cuts of ``graph``."""
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    return {
-        label
-        for i, label in enumerate(kernel.labels)
-        if _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
-    }
-
-
-def _is_local_two_cut_idx(
-    kernel: GraphKernel, table: list, u: int, v: int, r: int, minimal: bool
-) -> bool:
-    """Index-level two-cut test; assumes ``u != v`` and ``v`` in ``ball(u)``."""
-    arena = _ball_mask(kernel, table, u, r) | _ball_mask(kernel, table, v, r)
-    u_bit, v_bit = 1 << u, 1 << v
-    if not _splits_arena(kernel, arena, u_bit | v_bit):
-        return False
-    if not minimal:
-        return True
-    return not _splits_arena(kernel, arena, u_bit) and not _splits_arena(
-        kernel, arena, v_bit
-    )
+    arenas = _Arenas(graph, r)
+    labels = arenas.kernel.labels
+    return {labels[i] for i in range(arenas.kernel.n) if arenas.one_cut(i)}
 
 
 def is_local_two_cut(graph: nx.Graph, u: Vertex, v: Vertex, r: int, *, minimal: bool = True) -> bool:
@@ -146,12 +301,11 @@ def is_local_two_cut(graph: nx.Graph, u: Vertex, v: Vertex, r: int, *, minimal: 
     """
     if u == v:
         return False
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    i, j = kernel.index_of[u], kernel.index_of[v]
-    if not _ball_mask(kernel, table, i, r) >> j & 1:
+    arenas = _Arenas(graph, r)
+    i, j = arenas.kernel.index_of[u], arenas.kernel.index_of[v]
+    if not arenas.ball(i) >> j & 1:
         return False
-    return _is_local_two_cut_idx(kernel, table, i, j, r, minimal)
+    return arenas.two_cut(i, j, minimal)
 
 
 def local_two_cuts(graph: nx.Graph, r: int, *, minimal: bool = True) -> list[frozenset[Vertex]]:
@@ -159,19 +313,22 @@ def local_two_cuts(graph: nx.Graph, r: int, *, minimal: bool = True) -> list[fro
 
     One kernel-index-ordered scan: candidate partners of ``u`` are read
     straight off ``u``'s ball mask and only pairs with ``u_idx < v_idx``
-    are tested, so every pair is visited exactly once — no ``seen`` set,
-    no per-vertex re-sorting.  Kernel index order is sorted-repr order,
-    so the output order matches the historical enumeration.
+    are tested, so every pair is visited exactly once.  With
+    ``minimal=True`` the candidates are first narrowed to ``u``'s partner
+    mask, and a pair pays its arena flood fills only once ``v``'s partner
+    mask admits it too.  Kernel index order is sorted-repr order, so the
+    output order matches the historical enumeration.
     """
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    labels = kernel.labels
+    arenas = _Arenas(graph, r)
+    labels = arenas.kernel.labels
     result: list[frozenset[Vertex]] = []
-    for u in range(kernel.n):
-        ball_u = _ball_mask(kernel, table, u, r)
-        for dv in iter_bits(ball_u >> (u + 1)):
+    for u in range(arenas.kernel.n):
+        candidates = arenas.ball(u)
+        if minimal:
+            candidates &= arenas.partner_mask(u)
+        for dv in iter_bits(candidates >> (u + 1)):
             v = u + 1 + dv
-            if _is_local_two_cut_idx(kernel, table, u, v, r, minimal):
+            if arenas.two_cut(u, v, minimal):
                 result.append(frozenset({labels[u], labels[v]}))
     return result
 
@@ -185,50 +342,16 @@ def is_locally_k_connected(graph: nx.Graph, r: int, k: int) -> bool:
     raise ValueError("local connectivity implemented for k in {1, 2} only")
 
 
-def _certifies_interesting_idx(
-    kernel: GraphKernel, table: list, u: int, v: int, r: int
-) -> bool:
-    """Index-level interesting-ness check for the ordered pair ``(u, v)``."""
-    closed = kernel.closed_bits
-    n_u = closed[u]
-    if not closed[v] & ~n_u:  # first condition: N[v] ⊄ N[u]
-        return False
-    arena = _ball_mask(kernel, table, u, r) | _ball_mask(kernel, table, v, r)
-    rest = arena & ~((1 << u) | (1 << v))
-    witnesses = 0
-    for comp in kernel.components_of_mask(rest):
-        if comp & ~n_u:
-            witnesses += 1
-            if witnesses >= 2:
-                return True
-    return False
-
-
-def _certifies_interesting(graph: nx.Graph, u: Vertex, v: Vertex, r: int) -> bool:
-    """Check the two interesting-ness conditions for the ordered pair.
-
-    ``v`` is the candidate interesting vertex; ``u`` is its cut partner.
-    """
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    return _certifies_interesting_idx(
-        kernel, table, kernel.index_of[u], kernel.index_of[v], r
-    )
-
-
 def is_interesting_vertex(graph: nx.Graph, v: Vertex, r: int) -> bool:
     """Return whether ``v`` is r-interesting (Section 4 definition).
 
-    Scans all partners ``u ∈ N^r[v]`` for a certifying minimal r-local
-    2-cut ``{u, v}``.
+    Scans the partners ``u ∈ N^r[v]`` that ``v``'s partner mask admits
+    for a certifying minimal r-local 2-cut ``{u, v}``.
     """
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    j = kernel.index_of[v]
-    for i in iter_bits(_ball_mask(kernel, table, j, r) & ~(1 << j)):
-        if not _is_local_two_cut_idx(kernel, table, i, j, r, True):
-            continue
-        if _certifies_interesting_idx(kernel, table, i, j, r):
+    arenas = _Arenas(graph, r)
+    j = arenas.kernel.index_of[v]
+    for i in iter_bits(arenas.ball(j) & arenas.partner_mask(j) & ~(1 << j)):
+        if arenas.two_cut(i, j, True) and arenas.certifies_interesting(i, j):
             return True
     return False
 
@@ -246,18 +369,13 @@ def interesting_vertices_of_cuts(
     Faster than :func:`interesting_vertices` when the local 2-cuts are
     already known (the algorithm computes them anyway).
     """
-    kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    index_of = kernel.index_of
+    arenas = _Arenas(graph, r)
+    index_of = arenas.kernel.index_of
     result_bits = 0
     for cut in cuts:
         a, b = sorted(index_of[w] for w in cut)
-        if not result_bits >> b & 1 and _certifies_interesting_idx(
-            kernel, table, a, b, r
-        ):
+        if not result_bits >> b & 1 and arenas.certifies_interesting(a, b):
             result_bits |= 1 << b
-        if not result_bits >> a & 1 and _certifies_interesting_idx(
-            kernel, table, b, a, r
-        ):
+        if not result_bits >> a & 1 and arenas.certifies_interesting(b, a):
             result_bits |= 1 << a
-    return kernel.labels_of(result_bits)
+    return arenas.kernel.labels_of(result_bits)

@@ -64,10 +64,13 @@ def vertex_cover_number(graph: nx.Graph) -> int:
 def matching_vertex_cover(graph: nx.Graph) -> set[Vertex]:
     """2-approximate vertex cover: both endpoints of a maximal matching.
 
-    Deterministic: edges scanned in sorted order.
+    Deterministic: each edge is oriented repr-least endpoint first and
+    the edges are scanned in sorted order, so the cover does not depend
+    on the order (or orientation) in which the edges were inserted.
     """
     cover: set[Vertex] = set()
-    for u, v in sorted(graph.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
+    edges = (sorted(edge, key=repr) for edge in graph.edges)
+    for u, v in sorted(edges, key=lambda e: (repr(e[0]), repr(e[1]))):
         if u not in cover and v not in cover:
             cover.add(u)
             cover.add(v)

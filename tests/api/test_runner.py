@@ -1,6 +1,8 @@
 """`solve` / `solve_many` semantics: parity with direct calls, validation
 levels, and serial-vs-parallel determinism."""
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -13,7 +15,9 @@ from repro.api import (
 from repro.core.algorithm1 import algorithm1
 from repro.core.d2 import d2_dominating_set
 from repro.core.radii import RadiusPolicy
+from repro.graphs.families import FAMILIES as ALL_FAMILIES
 from repro.graphs.families import get_family
+from repro.io import run_report_to_dict
 from repro.solvers.exact import minimum_dominating_set
 
 
@@ -119,6 +123,26 @@ class TestSolveMany:
             self._instances(), ["d2", "algorithm1"], config, workers=2
         )
         assert _payload(serial) == _payload(parallel)
+
+    def test_matching_vc_parallel_bytes_match_serial(self):
+        # Pool workers rebuild each instance from its KernelWire, which
+        # does not keep the edge insertion order the serial path sees.
+        instances = [
+            ({"family": name, "size": size, "seed": seed}, family.make(size, seed))
+            for name, family in sorted(ALL_FAMILIES.items())
+            for size in (24, 48)
+            for seed in (0, 1)
+        ]
+
+        def dump(reports):
+            return [
+                json.dumps({**run_report_to_dict(r), "wall_time": 0.0})
+                for r in reports
+            ]
+
+        serial = solve_many(instances, "matching_vc", workers=1)
+        parallel = solve_many(instances, "matching_vc", workers=2)
+        assert dump(serial) == dump(parallel)
 
     def test_accepts_bare_graphs(self):
         graph = get_family("fan").make(10, 0)

@@ -24,6 +24,7 @@ from repro.analysis.domination import (
 from repro.api import simulate, solve, solve_many
 from repro.api.config import RunConfig
 from repro.core.d2 import d2_dominating_set, d2_set, gamma
+from repro.graphs.families import get_family
 from repro.graphs.kernel import (
     GraphKernel,
     KernelView,
@@ -174,6 +175,17 @@ def test_closed_bits_is_not_available_on_packed():
     pk = PackedGraphKernel.from_graph(nx.path_graph(5))
     with pytest.raises(AttributeError, match="REPRO_KERNEL_BACKEND=int"):
         pk.closed_bits
+
+
+@pytest.mark.parametrize("algorithm", ["algorithm1", "algorithm2", "local_cuts_vc"])
+def test_local_cut_algorithms_raise_the_packed_fence_error(restore_backend, algorithm):
+    # The local-cut pipeline is int-mask only; it must refuse the packed
+    # backend with the fence's error (which names the int backend), not
+    # die on a PackedMask/int mix.
+    set_kernel_backend("packed")
+    graph = get_family("outerplanar").make(40, 0)
+    with pytest.raises(AttributeError, match="REPRO_KERNEL_BACKEND=int"):
+        solve(graph, algorithm)
 
 
 def test_backend_threshold_boundary(restore_backend):

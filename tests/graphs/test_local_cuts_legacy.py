@@ -47,6 +47,7 @@ from repro.graphs.local_cuts import (
     local_one_cuts,
     local_two_cuts,
 )
+from repro.graphs.random_families import random_outerplanar
 from repro.graphs.twins import remove_true_twins, true_twin_classes
 from repro.graphs.util import weak_diameter
 
@@ -672,7 +673,17 @@ class TestAlgorithm1Pinned:
         )
 
     def test_fast_and_simulate_modes_agree(self):
-        for graph in (gen.cycle(6), gen.ladder(4), gen.clique_with_pendants(4)):
+        # The outerplanar and fan instances send decide_membership's
+        # is_interesting_vertex calls on view graphs through the link
+        # certificate's linked-link and hub paths.
+        graphs = (
+            gen.cycle(6),
+            gen.ladder(4),
+            gen.clique_with_pendants(4),
+            random_outerplanar(40, 0),
+            gen.fan(30),
+        )
+        for graph in graphs:
             fast = algorithm1(graph, mode="fast")
             simulated = algorithm1(graph, mode="simulate")
             assert fast.solution == simulated.solution
