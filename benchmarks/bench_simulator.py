@@ -14,16 +14,16 @@ from repro.local_model.gather import gather_views
 @pytest.mark.parametrize("n", [20, 40, 80])
 def test_bench_gather_radius2_on_cycles(benchmark, n):
     graph = generators.cycle(n)
-    views, trace = benchmark(gather_views, graph, 2)
-    benchmark.extra_info["messages"] = trace.total_messages
-    benchmark.extra_info["payload"] = trace.total_payload
+    views, result = benchmark(gather_views, graph, 2)
+    benchmark.extra_info["messages"] = result.total_messages
+    benchmark.extra_info["payload"] = result.total_payload
 
 
 @pytest.mark.parametrize("radius", [1, 2, 4])
 def test_bench_gather_radius_scaling(benchmark, radius):
     graph = generators.ladder(20)
-    views, trace = benchmark(gather_views, graph, radius)
-    benchmark.extra_info["payload"] = trace.total_payload
+    views, result = benchmark(gather_views, graph, radius)
+    benchmark.extra_info["payload"] = result.total_payload
 
 
 def test_gather_messages_linear_in_n():

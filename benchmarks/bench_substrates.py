@@ -44,18 +44,18 @@ def test_bench_treewidth_heuristic(benchmark):
 
 def test_bench_local_gather(benchmark):
     graph = generators.ladder(12)
-    views, trace = benchmark(gather_views, graph, 2)
-    benchmark.extra_info["rounds"] = trace.round_count
+    views, result = benchmark(gather_views, graph, 2)
+    benchmark.extra_info["rounds"] = result.rounds
 
 
 def test_bench_congest_gather(benchmark):
     graph = generators.ladder(12)
-    views, trace = benchmark(congest_gather_views, graph, 2, 2)
-    benchmark.extra_info["rounds"] = trace.round_count
+    views, result = benchmark(congest_gather_views, graph, 2, 2)
+    benchmark.extra_info["rounds"] = result.rounds
 
 
 def test_congest_round_gap():
     graph = generators.ladder(12)
-    _, local_trace = gather_views(graph, 2)
-    _, congest_trace = congest_gather_views(graph, 2, 2)
-    assert congest_trace.round_count >= 3 * local_trace.round_count
+    _, local = gather_views(graph, 2)
+    _, congest = congest_gather_views(graph, 2, 2)
+    assert congest.rounds >= 3 * local.rounds

@@ -16,9 +16,13 @@ from repro.analysis import format_table
 from repro.api import SimulationSpec, simulate
 from repro.graphs import generators
 from repro.local_model.congest_gather import congest_gather_views
-from repro.local_model.congest_runtime import runs_in_congest
-from repro.local_model.engine import MessageTooLargeError
+from repro.local_model.engine import (
+    CongestScheduler,
+    MessageTooLargeError,
+    SimulationEngine,
+)
 from repro.local_model.gather import GatherAlgorithm, gather_views
+from repro.local_model.network import Network
 
 
 def main() -> None:
@@ -26,21 +30,21 @@ def main() -> None:
     print(f"network: ladder, n={graph.number_of_nodes()}, diameter 10\n")
 
     print("== radius-2 view gathering ==")
-    _, local_trace = gather_views(graph, 2)
+    _, local = gather_views(graph, 2)
     rows = [
         [
             "LOCAL (unbounded)",
-            local_trace.round_count,
-            round(local_trace.total_payload / max(1, local_trace.total_messages), 1),
+            local.rounds,
+            round(local.total_payload / max(1, local.total_messages), 1),
         ]
     ]
     for budget in (1, 2, 4, 8):
-        _, trace = congest_gather_views(graph, 2, budget)
+        _, congest = congest_gather_views(graph, 2, budget)
         rows.append(
             [
                 f"CONGEST, {budget} facts/msg",
-                trace.round_count,
-                round(trace.total_payload / max(1, trace.total_messages), 1),
+                congest.rounds,
+                round(congest.total_payload / max(1, congest.total_messages), 1),
             ]
         )
     print(format_table(["model", "rounds", "avg message units"], rows))
@@ -56,9 +60,13 @@ def main() -> None:
         except MessageTooLargeError as error:
             print(f"  {name}: {error}")
             rows.append([name, "no"])
-    # Raw view gathering is not a registry algorithm; drive it directly.
-    fits, _ = runs_in_congest(graph, lambda: GatherAlgorithm(3), ids_per_message=4)
-    rows.append(["radius-3 gathering", "yes" if fits else "no"])
+    # Raw view gathering is not a registry algorithm; drive the engine.
+    engine = SimulationEngine(Network(graph), CongestScheduler(4))
+    try:
+        engine.run(lambda: GatherAlgorithm(3))
+        rows.append(["radius-3 gathering", "yes"])
+    except MessageTooLargeError:
+        rows.append(["radius-3 gathering", "no"])
     print(format_table(["protocol", "fits"], rows))
     print(
         "\nD2 ships closed neighborhoods (Θ(Δ) ids): CONGEST-feasible only"

@@ -11,10 +11,10 @@ Usage: python examples/local_simulation_walkthrough.py
 from repro.core.algorithm1 import decide_membership
 from repro.core.radii import RadiusPolicy
 from repro.graphs import generators
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.gather import GatherAlgorithm, gather_views
 from repro.local_model.identifiers import spread_ids
 from repro.local_model.network import Network
-from repro.local_model.runtime import SynchronousRuntime
 
 
 def main() -> None:
@@ -29,9 +29,9 @@ def main() -> None:
     print("  (it does NOT know its neighbors' uids yet)\n")
 
     # 2. Run the gathering protocol for radius 2 and watch the trace.
-    runtime = SynchronousRuntime(network, max_rounds=10)
-    result = runtime.run(lambda: GatherAlgorithm(2))
-    for stats in result.trace.rounds:
+    engine = SimulationEngine(network, max_rounds=10)
+    result = engine.run(lambda: GatherAlgorithm(2))
+    for stats in result.round_stats:
         print(
             f"round {stats.round_index}: {stats.messages} messages, "
             f"{stats.payload_units} payload units"
@@ -48,11 +48,11 @@ def main() -> None:
     #    membership decision for every node, from its own view only.
     policy = RadiusPolicy.practical()
     radius = policy.detection_radius + 6  # enough for this tiny graph
-    views, trace = gather_views(graph, radius, ids)
+    views, gathered = gather_views(graph, radius, ids)
     members = sorted(uid for uid, v in views.items() if decide_membership(v, policy))
     print(
         f"\nAlgorithm 1 decisions from radius-{radius} views "
-        f"({trace.round_count} rounds): members = {members}"
+        f"({gathered.rounds} rounds): members = {members}"
     )
     back = {uid: vertex for vertex, uid in ids.items()}
     print(f"as graph vertices: {sorted(back[uid] for uid in members)}")

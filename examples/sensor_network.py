@@ -83,10 +83,10 @@ def main() -> None:
     )
 
     # Message accounting: what does a radius-3 view gathering cost?
-    _, trace = gather_views(graph, 3)
+    _, gathered = gather_views(graph, 3)
     print(
-        f"\nview gathering (radius 3): {trace.round_count} rounds, "
-        f"{trace.total_messages} messages, {trace.total_payload} payload units"
+        f"\nview gathering (radius 3): {gathered.rounds} rounds, "
+        f"{gathered.total_messages} messages, {gathered.total_payload} payload units"
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -63,6 +63,29 @@ class WorkerCrashError(RuntimeError):
             f"first unfinished chunk: {in_flight!r} (re-run, or use "
             f"repro.sweep for checkpointed retry)"
         )
+
+
+def pool_map(
+    kind: str, fn: Callable, tasks: Sequence[tuple], workers: int, chunksize: int = 1
+) -> list:
+    """``[fn(task) for task in tasks]`` on a process pool, in task order.
+
+    ``Executor.map`` preserves submission order, so a parallel batch
+    returns exactly the serial ordering.  Each task's first element is
+    its instance metadata: a dead worker surfaces as a
+    :class:`WorkerCrashError` naming the first unfinished task by it,
+    not as a raw ``BrokenProcessPool``.
+    """
+    results: list = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            for result in pool.map(fn, tasks, chunksize=chunksize):
+                results.append(result)
+        except BrokenProcessPool as error:
+            raise WorkerCrashError(
+                kind, len(results), len(tasks), tasks[len(results)][0]
+            ) from error
+    return results
 
 
 def _optimum_size(graph: nx.Graph, spec: AlgorithmSpec, config: RunConfig) -> int:
@@ -206,18 +229,5 @@ def solve_many(
         for meta, graph in pairs
     ]
     chunksize = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Executor.map preserves submission order, giving parallel runs
-        # the exact serial ordering.
-        batches = pool.map(_solve_instance_task, tasks, chunksize=chunksize)
-        reports: list[RunReport] = []
-        done = 0
-        try:
-            for batch in batches:
-                reports.extend(batch)
-                done += 1
-        except BrokenProcessPool as error:
-            raise WorkerCrashError(
-                "solve", done, len(tasks), tasks[done][0]
-            ) from error
-        return reports
+    batches = pool_map("solve", _solve_instance_task, tasks, workers, chunksize)
+    return [report for batch in batches for report in batch]

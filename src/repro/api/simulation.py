@@ -18,9 +18,7 @@ Reports carry **no wall-clock fields** — everything in a
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
@@ -28,7 +26,7 @@ import networkx as nx
 import repro.api.algorithms  # noqa: F401  (populates the registry)
 from repro.api.config import instance_meta, measured_ratio
 from repro.api.registry import AlgorithmSpec, get_algorithm
-from repro.api.runner import _normalise_instances
+from repro.api.runner import _normalise_instances, pool_map
 from repro.local_model.adversary import (
     ByzantinePlan,
     ChurnPlan,
@@ -38,8 +36,10 @@ from repro.local_model.adversary import (
 from repro.local_model.engine import (
     MODELS,
     TRACE_POLICIES,
+    EngineResult,
     FaultPlan,
     SimulationEngine,
+    check_plan_vertices,
     scheduler_for,
 )
 from repro.local_model.identifiers import identity_ids, shuffled_ids, spread_ids
@@ -217,28 +217,23 @@ def simulate(
     :class:`~repro.local_model.engine.MessageTooLargeError` (with round
     and receiver) when ``model="congest"`` rejects a message.
 
-    The zero-node graph is handled without a network: the report is
-    empty with zero rounds.
+    The zero-node graph is handled without a network: after the
+    engine's plan-vertex checks, the report is empty with zero rounds.
     """
     spec = _as_spec(spec)
     alg = _engine_spec(spec)
-    base = SimReport(
-        algorithm=alg.name,
-        problem=alg.problem,
-        model=spec.model,
-        instance=instance_meta(graph, meta),
-        spec=spec,
-        crashed=tuple(spec.faults.crashed) if spec.faults else (),
-        round_stats=[] if spec.trace == "full" else None,
-    )
+    head = {
+        "algorithm": alg.name,
+        "problem": alg.problem,
+        "model": spec.model,
+        "instance": instance_meta(graph, meta),
+        "spec": spec,
+    }
+    byzantine = spec.byzantine.as_mapping() if spec.byzantine is not None else {}
     if graph.number_of_nodes() == 0:
-        # The engine owns crash-vertex validation; match its contract
-        # here, where no engine is ever constructed.
-        if spec.faults is not None and spec.faults.crashed:
-            raise ValueError(
-                f"crashed vertices not in the network: {list(spec.faults.crashed)!r}"
-            )
-        return base
+        # No engine is ever built here, so run its plan checks directly.
+        check_plan_vertices((), spec.faults or FaultPlan(), byzantine)
+        return SimReport(**head, round_stats=[] if spec.trace == "full" else None)
 
     churn_plan = spec.churn if spec.churn is not None and not spec.churn.is_trivial else None
     if churn_plan is not None and not isinstance(graph, nx.Graph):
@@ -249,11 +244,6 @@ def simulate(
             f"got {type(graph).__name__} (rebuild the instance as a graph, "
             "e.g. via graph_from_wire, to simulate churn)"
         )
-    byz_plan = (
-        spec.byzantine
-        if spec.byzantine is not None and not spec.byzantine.is_trivial
-        else None
-    )
     churn_rounds = None
     if churn_plan is not None:
         # Materialize against the caller's graph, then run on a copy —
@@ -269,24 +259,12 @@ def simulate(
         trace=spec.trace,
         seed=spec.seed,
         churn=churn_rounds,
-        byzantine=byz_plan.as_mapping() if byz_plan is not None else None,
+        byzantine=byzantine,
     )
     result = engine.run(alg.protocol_factory(graph, spec))
-    base.outputs = result.outputs
-    base.rounds = result.rounds
-    base.total_messages = result.total_messages
-    base.total_payload = result.total_payload
-    base.dropped_messages = result.dropped_messages
-    base.swallowed_messages = result.swallowed_messages
-    base.round_stats = result.round_stats
-    base.crashed = result.crashed
-    base.delayed_messages = result.delayed_messages
-    base.churn_events = result.churn_events
-    base.churn_lost_messages = result.churn_lost_messages
-    base.suspicion = result.suspicion
-    base.failed = result.failed
-    base.timed_out = result.timed_out
-    return base
+    # SimReport carries every EngineResult counter under the same name.
+    counters = {f.name: getattr(result, f.name) for f in fields(EngineResult)}
+    return SimReport(**head, **counters)
 
 
 def _simulate_task(task: tuple[dict, nx.Graph, SimulationSpec]) -> SimReport:
@@ -333,23 +311,7 @@ def simulate_many(
         return []
     if workers is None or workers <= 1:
         return [_simulate_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Executor.map preserves submission order, giving parallel runs
-        # the exact serial ordering.  A dead worker surfaces as the
-        # typed WorkerCrashError naming the first unfinished task, not
-        # as a raw BrokenProcessPool.
-        from repro.api.runner import WorkerCrashError
-
-        results = pool.map(_simulate_task, tasks)
-        reports: list[SimReport] = []
-        try:
-            for report in results:
-                reports.append(report)
-        except BrokenProcessPool as error:
-            raise WorkerCrashError(
-                "simulate", len(reports), len(tasks), tasks[len(reports)][0]
-            ) from error
-        return reports
+    return pool_map("simulate", _simulate_task, tasks, workers)
 
 
 def adversarial_degradation(

@@ -182,21 +182,3 @@ class DistributedGreedyProtocolFull(DistributedGreedyProtocol):
             ctx.broadcast(("span", ctx.uid, self._my_span(ctx)))
             return
         super().on_round(ctx)
-
-
-def run_distributed_greedy(graph: nx.Graph, ids=None) -> AlgorithmResult:
-    """Execute the message protocol; returns the standard result record."""
-    from repro.local_model.network import Network
-    from repro.local_model.runtime import SynchronousRuntime
-
-    network = Network(graph, ids)
-    result = SynchronousRuntime(network, max_rounds=40 * graph.number_of_nodes() + 40).run(
-        DistributedGreedyProtocolFull
-    )
-    chosen = {v for v, member in result.outputs.items() if member}
-    return AlgorithmResult(
-        name="distributed_greedy_protocol",
-        solution=chosen,
-        rounds=result.rounds,
-        phases={"greedy": set(chosen)},
-    )

@@ -183,8 +183,8 @@ def message_volume_vs_radius(radii: Sequence[int] = (1, 2, 3, 4)) -> list[dict]:
     graph = ladder(12)
     rows = []
     for radius in radii:
-        _, trace = gather_views(graph, radius)
-        report = trace_congest_report(graph, trace)
+        _, result = gather_views(graph, radius)
+        report = trace_congest_report(graph, result)
         rows.append(
             {
                 "radius": radius,
@@ -354,16 +354,16 @@ def congest_gather_inflation(budgets: Sequence[int] = (1, 2, 4, 8)) -> list[dict
     from repro.local_model.gather import gather_views
 
     graph = ladder(10)
-    _, local_trace = gather_views(graph, 2)
+    _, local = gather_views(graph, 2)
     rows = []
     for budget in budgets:
-        _, trace = congest_gather_views(graph, 2, budget)
+        _, congest = congest_gather_views(graph, 2, budget)
         rows.append(
             {
                 "budget_facts_per_msg": budget,
-                "congest_rounds": trace.round_count,
-                "local_rounds": local_trace.round_count,
-                "inflation": round(trace.round_count / local_trace.round_count, 2),
+                "congest_rounds": congest.rounds,
+                "local_rounds": local.rounds,
+                "inflation": round(congest.rounds / local.rounds, 2),
             }
         )
     return rows

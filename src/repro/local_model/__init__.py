@@ -11,13 +11,10 @@ Layers:
 
 * :mod:`repro.local_model.network` / :mod:`node` — the simulated
   processors and links;
-* :mod:`repro.local_model.engine` — the unified simulation engine:
-  one synchronous round loop with pluggable model schedulers (LOCAL /
-  CONGEST), fault plans (message drops, node crashes), and trace
-  policies (``full``/``stats``/``off``);
-* :mod:`repro.local_model.runtime` / :mod:`congest_runtime` — thin
-  deprecated wrappers keeping the historical ``SynchronousRuntime`` /
-  ``CongestRuntime`` names alive on top of the engine;
+* :mod:`repro.local_model.engine` — the simulation engine, the one
+  runtime every protocol runs on: a synchronous round loop with
+  pluggable model schedulers (LOCAL / CONGEST), fault plans (message
+  drops, node crashes), and trace policies (``full``/``stats``/``off``);
 * :mod:`repro.local_model.algorithm` — the per-node algorithm interface;
 * :mod:`repro.local_model.gather` — the radius-r *view gathering*
   primitive: after ``r + 1`` rounds every vertex knows the induced
@@ -28,7 +25,7 @@ Layers:
   decision functions.
 """
 
-from repro.local_model.algorithm import LocalAlgorithm, ViewAlgorithm
+from repro.local_model.algorithm import LocalAlgorithm
 from repro.local_model.engine import (
     CongestScheduler,
     EngineResult,
@@ -46,8 +43,6 @@ from repro.local_model.identifiers import (
     spread_ids,
 )
 from repro.local_model.network import Network
-from repro.local_model.runtime import RunResult, SynchronousRuntime
-
 from repro.local_model.views import View
 
 __all__ = [
@@ -58,12 +53,9 @@ __all__ = [
     "LocalScheduler",
     "MessageTooLargeError",
     "Network",
-    "RunResult",
     "Scheduler",
     "SimulationEngine",
-    "SynchronousRuntime",
     "View",
-    "ViewAlgorithm",
     "gather_views",
     "identity_ids",
     "rounds_for_radius",

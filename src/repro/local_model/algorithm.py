@@ -1,25 +1,15 @@
-"""Per-node algorithm interfaces for the LOCAL simulator.
+"""Per-node algorithm interface for the LOCAL simulator.
 
 :class:`LocalAlgorithm` is the raw interface: per-node ``on_init`` and
 ``on_round`` callbacks that see only a :class:`~repro.local_model.node.
 NodeContext` (identifier, degree, mailboxes).
-
-:class:`ViewAlgorithm` is the pattern every algorithm in the paper fits:
-*gather the radius-r view, then decide locally*.  Subclasses declare a
-radius and implement ``decide(view)``; the harness composes them with
-the gathering protocol and charges ``r + 1`` communication rounds (the
-``+1`` pays for learning the edges among the outermost vertices, cf.
-footnote 3 of the paper: even "0-round" statements need a round for a
-vertex to count its neighbors).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any
 
 from repro.local_model.node import NodeContext
-from repro.local_model.views import View
 
 
 class LocalAlgorithm(abc.ABC):
@@ -36,25 +26,3 @@ class LocalAlgorithm(abc.ABC):
         Call ``ctx.halt(output)`` to finish; a round where every node has
         halted ends the simulation.
         """
-
-
-class ViewAlgorithm(abc.ABC):
-    """Gather-then-decide algorithm: the shape of all paper algorithms."""
-
-    @property
-    @abc.abstractmethod
-    def radius(self) -> int:
-        """View radius r: the node decides from ``G[N^r[v]]`` plus ids."""
-
-    @abc.abstractmethod
-    def decide(self, view: View) -> Any:
-        """Pure local decision given the gathered view.
-
-        Must be deterministic and depend only on the view (the model's
-        consistency requirement: two nodes with the same view decide the
-        same way).
-        """
-
-    def run_on_views(self, views: dict[int, View]) -> dict[int, Any]:
-        """Apply :meth:`decide` to each node's view (uid-keyed)."""
-        return {uid: self.decide(view) for uid, view in views.items()}

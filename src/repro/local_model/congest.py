@@ -1,8 +1,8 @@
 """CONGEST-model accounting: would a protocol fit in O(log n) bits?
 
 The paper works in LOCAL, where messages are unbounded; the CONGEST
-model caps each message at ``B = O(log n)`` bits.  The simulator's
-traces record payload volume, so we can report *which* of the
+model caps each message at ``B = O(log n)`` bits.  The engine's
+per-round stats record payload volume, so we can report *which* of the
 reproduced algorithms would survive the cap:
 
 * the 3-round D2 protocol sends closed neighborhoods — Θ(Δ log n) bits,
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.local_model.instrumentation import Trace
+from repro.local_model.engine import EngineResult
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ def congest_budget_units(n: int, ids_per_message: int = 1) -> float:
 
 
 def trace_congest_report(
-    graph: nx.Graph, trace: Trace, ids_per_message: int = 1
+    graph: nx.Graph, result: EngineResult, ids_per_message: int = 1
 ) -> CongestReport:
-    """Build a report from a simulation trace.
+    """Build a report from a full-trace engine run's per-round stats.
 
     Per-message volume is approximated as the round's payload divided by
     its message count (the gathering protocol broadcasts uniformly, so
@@ -67,12 +67,12 @@ def trace_congest_report(
     """
     n = graph.number_of_nodes()
     worst = 0.0
-    for stats in trace.rounds:
+    for stats in result.round_stats:
         if stats.messages:
             worst = max(worst, stats.payload_units / stats.messages)
     return CongestReport(
         n=n,
-        rounds=trace.round_count,
+        rounds=result.rounds,
         max_message_units=worst,
         budget_units=congest_budget_units(n, ids_per_message),
     )

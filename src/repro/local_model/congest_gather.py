@@ -27,10 +27,9 @@ import networkx as nx
 
 from repro.graphs.util import distances_from
 from repro.local_model.algorithm import LocalAlgorithm
-from repro.local_model.instrumentation import Trace
+from repro.local_model.engine import EngineResult, SimulationEngine
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
-from repro.local_model.runtime import SynchronousRuntime
 from repro.local_model.views import View
 
 Vertex = Hashable
@@ -126,12 +125,12 @@ class CongestGatherAlgorithm(LocalAlgorithm):
 
 def congest_gather_views(
     graph: nx.Graph, radius: int, budget: int, ids=None
-) -> tuple[dict[int, View], Trace]:
+) -> tuple[dict[int, View], EngineResult]:
     """Gather radius-r views under a CONGEST budget; driver sets deadline.
 
     The deadline is computed from the graph (worst ball volume over the
     budget, plus the radius and slack); per-node logic never reads the
-    graph.  Round inflation vs LOCAL is ``trace.round_count − (r + 1)``.
+    graph.  Round inflation vs LOCAL is ``result.rounds − (r + 1)``.
     """
     from repro.graphs.util import ball
 
@@ -143,7 +142,7 @@ def congest_gather_views(
     deadline = radius + 1 + (worst_volume + budget - 1) // budget + 2
 
     network = Network(graph, ids)
-    runtime = SynchronousRuntime(network, max_rounds=deadline + 2)
-    result = runtime.run(lambda: CongestGatherAlgorithm(radius, budget, deadline))
+    engine = SimulationEngine(network, max_rounds=deadline + 2)
+    result = engine.run(lambda: CongestGatherAlgorithm(radius, budget, deadline))
     views = {network.ids[v]: view for v, view in result.outputs.items()}
-    return views, result.trace
+    return views, result

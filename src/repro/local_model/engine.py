@@ -1,9 +1,8 @@
-"""The unified simulation engine: one round loop, pluggable policies.
+"""The simulation engine: one round loop, pluggable policies.
 
-Every round-model experiment in the repo runs on this engine.  What used
-to be two hand-wired runtimes (``SynchronousRuntime`` for LOCAL,
-``CongestRuntime`` as an enforcement subclass) is now a single
-:class:`SimulationEngine` parameterised along three axes:
+Every protocol in the repo runs on :class:`SimulationEngine`, and every
+run returns one :class:`EngineResult`.  The engine is parameterised
+along three axes:
 
 * **scheduler** — the round model as an admission policy.
   :class:`LocalScheduler` admits everything (unbounded messages);
@@ -29,20 +28,18 @@ dropping the defensive copies is what makes the hot path cheap (see
 
 Routing uses an adjacency-indexed buffer built once per engine:
 ``routes[v][port] == (receiver node, back port)``, so delivering a
-message is a single list index instead of the port→neighbor→back-port
-dictionary chain the old runtime walked for every message of every
-round.
+message is a single list index.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Collection, Hashable, Mapping, Protocol, runtime_checkable
 
 from repro.local_model.adversary import ByzantineShim, byzantine_rng
 from repro.local_model.algorithm import LocalAlgorithm
-from repro.local_model.instrumentation import RoundStats, Trace, payload_size
+from repro.local_model.instrumentation import RoundStats, payload_size
 from repro.local_model.network import Network
 from repro.local_model.node import Node, NodeContext
 from repro.local_model.schedulers import (
@@ -243,17 +240,43 @@ class EngineResult:
     peer).  Recorded instead of raised — non-termination under attack
     is a result.  Benign runs still raise ``RuntimeError``."""
 
-    @property
-    def trace(self) -> Trace:
-        """Compatibility view for consumers of the old ``Trace`` shape."""
-        return Trace(rounds=list(self.round_stats or []))
+
+def check_plan_vertices(
+    present: Collection[Vertex],
+    faults: FaultPlan,
+    byzantine: Collection[Vertex],
+    joins: Collection[Vertex] = (),
+) -> None:
+    """Refuse fault and Byzantine plans that name vertices no run has.
+
+    ``present`` holds the vertices at round 0 and ``joins`` the ones
+    churn adds later.  Round-0 crashes must be present; scheduled
+    crashes and Byzantine vertices must be present or joining; no
+    vertex may be both Byzantine and crashed at round 0.
+    """
+    unknown = [v for v in faults.crashed if v not in present]
+    if unknown:
+        raise ValueError(f"crashed vertices not in the network: {unknown!r}")
+    allowed = set(present) | set(joins)
+    unknown = [v for v, _ in faults.crash_schedule if v not in allowed]
+    if unknown:
+        raise ValueError(
+            f"scheduled-crash vertices never in the network: {unknown!r}"
+        )
+    unknown = [v for v in byzantine if v not in allowed]
+    if unknown:
+        raise ValueError(f"byzantine vertices never in the network: {unknown!r}")
+    overlap = [v for v in byzantine if v in faults.crashed]
+    if overlap:
+        raise ValueError(
+            f"vertices cannot be both byzantine and crashed: {overlap!r}"
+        )
 
 
 class SimulationEngine:
     """Synchronous round loop over a :class:`Network`, policy-driven.
 
-    Semantics (identical to the historical runtime for fault-free LOCAL
-    runs): every round, all non-halted nodes act on the previous round's
+    Semantics: every round, all non-halted nodes act on the previous round's
     inbox, then all queued messages are delivered simultaneously; the
     run ends when every live node has halted.  Exceeding ``max_rounds``
     raises — an algorithm that cannot bound its rounds is not a LOCAL
@@ -294,23 +317,7 @@ class SimulationEngine:
         joins = {
             e.u for events in self.churn.values() for e in events if e.kind == "join"
         }
-        unknown = [v for v in self.faults.crashed if v not in network.nodes]
-        if unknown:
-            raise ValueError(f"crashed vertices not in the network: {unknown!r}")
-        allowed = set(network.nodes) | joins
-        unknown = [v for v, _ in self.faults.crash_schedule if v not in allowed]
-        if unknown:
-            raise ValueError(
-                f"scheduled-crash vertices never in the network: {unknown!r}"
-            )
-        unknown = [v for v in self.byzantine if v not in allowed]
-        if unknown:
-            raise ValueError(f"byzantine vertices never in the network: {unknown!r}")
-        overlap = [v for v in self.byzantine if v in self.faults.crashed]
-        if overlap:
-            raise ValueError(
-                f"vertices cannot be both byzantine and crashed: {overlap!r}"
-            )
+        check_plan_vertices(network.nodes, self.faults, self.byzantine, joins)
         self._shims: dict[Vertex, ByzantineShim] = {}
         # Adjacency-indexed delivery buffer: routes[v][port] is the
         # (receiver, back port) pair the message on that port lands on.
@@ -447,7 +454,7 @@ class SimulationEngine:
         )
         # A delivery-planning scheduler (async/adversarial) moves the
         # engine onto the pending-queue path; LOCAL/CONGEST keep the
-        # direct outbox-to-inbox hot path, bit-for-bit as before.
+        # direct outbox-to-inbox hot path.
         planner = (
             self.scheduler
             if getattr(self.scheduler, "plans_delivery", False)

@@ -9,8 +9,8 @@ Protocol (full-information flooding):
 
 after ``k`` rounds the center's knowledge contains ``G[N^{k−1}[v]]``
 exactly, so gathering for decision radius ``r`` costs ``r + 1`` rounds.
-Message sizes are unbounded — that is the LOCAL model; the trace records
-their volume for comparison purposes.
+Message sizes are unbounded — that is the LOCAL model; the engine's
+per-round stats record their volume for comparison purposes.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local_model.algorithm import LocalAlgorithm
-from repro.local_model.instrumentation import Trace
+from repro.local_model.engine import EngineResult, SimulationEngine
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
-from repro.local_model.runtime import SynchronousRuntime
 from repro.local_model.views import View
 from repro.graphs.util import distances_from
 
@@ -90,11 +89,12 @@ def gather_views(
     radius: int,
     ids: dict[Vertex, int] | None = None,
     max_rounds: int | None = None,
-) -> tuple[dict[int, View], Trace]:
-    """Simulate gathering on ``graph``; returns uid-keyed views and the trace."""
+) -> tuple[dict[int, View], EngineResult]:
+    """Simulate gathering on ``graph``; returns uid-keyed views and the
+    engine's result (full trace: ``rounds`` and ``round_stats``)."""
     network = Network(graph, ids)
     limit = max_rounds if max_rounds is not None else rounds_for_radius(radius) + 1
-    runtime = SynchronousRuntime(network, max_rounds=limit)
-    result = runtime.run(lambda: GatherAlgorithm(radius))
+    engine = SimulationEngine(network, max_rounds=limit)
+    result = engine.run(lambda: GatherAlgorithm(radius))
     views = {network.ids[v]: view for v, view in result.outputs.items()}
-    return views, result.trace
+    return views, result

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -17,25 +17,6 @@ class RoundStats:
     round_index: int
     messages: int
     payload_units: int
-
-
-@dataclass
-class Trace:
-    """Full accounting of one simulation."""
-
-    rounds: list[RoundStats] = field(default_factory=list)
-
-    @property
-    def round_count(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(r.messages for r in self.rounds)
-
-    @property
-    def total_payload(self) -> int:
-        return sum(r.payload_units for r in self.rounds)
 
 
 def payload_size(payload: object) -> int:

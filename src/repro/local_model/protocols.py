@@ -171,14 +171,3 @@ class D2Protocol(LocalAlgorithm):
                 ctx.halt(False)
                 return
         ctx.halt(True)
-
-
-def run_protocol_dominating_set(graph, protocol_factory, ids=None):
-    """Run a membership protocol; return (chosen vertices, rounds)."""
-    from repro.local_model.network import Network
-    from repro.local_model.runtime import SynchronousRuntime
-
-    network = Network(graph, ids)
-    result = SynchronousRuntime(network, max_rounds=20).run(protocol_factory)
-    chosen = {v for v, output in result.outputs.items() if output is True}
-    return chosen, result.rounds

@@ -1,5 +1,6 @@
 """Tests for the `repro.api.simulate` front door and its JSON round-trip."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -32,8 +33,10 @@ from repro.io import (
     to_dict,
 )
 from repro.local_model.adversary import ByzantinePlan, ChurnEvent, ChurnPlan
-from repro.local_model.engine import MessageTooLargeError
+from repro.local_model.engine import EngineResult, MessageTooLargeError, SimulationEngine
 from repro.local_model.instrumentation import RoundStats
+from repro.local_model.network import Network
+from repro.local_model.protocols import D2Protocol
 
 
 class TestSimulate:
@@ -58,13 +61,42 @@ class TestSimulate:
         }
 
     def test_zero_node_graph_rejects_crash_plan(self):
-        # the engine's crash-vertex validation must hold on the
-        # engine-less zero-node path too
-        with pytest.raises(ValueError, match="crashed vertices"):
-            simulate(
-                nx.Graph(),
-                SimulationSpec(algorithm="d2", faults=FaultPlan(crashed=(0,))),
-            )
+        # the engine's plan-vertex validation must hold on the
+        # engine-less zero-node path too, with the engine's messages
+        cases = [
+            ({"faults": FaultPlan(crashed=(0,))}, "crashed vertices"),
+            (
+                {"faults": FaultPlan(crash_schedule=((5, 2),))},
+                "scheduled-crash vertices never in the network",
+            ),
+            (
+                {"byzantine": ByzantinePlan(behaviors=((5, "silent"),))},
+                "byzantine vertices never in the network",
+            ),
+        ]
+        for fields, message in cases:
+            spec = SimulationSpec(algorithm="d2", **fields)
+            with pytest.raises(ValueError, match=message):
+                simulate(nx.Graph(), spec)
+            if "byzantine" in fields or fields["faults"].crash_schedule:
+                # the same plan on a non-empty graph fails the same way
+                with pytest.raises(ValueError, match=message):
+                    simulate(nx.path_graph(3), spec)
+
+    def test_report_carries_every_engine_counter(self):
+        # SimReport copies EngineResult field by field: each engine
+        # counter must arrive under its own name, with its own value
+        graph = gen.ladder(5)
+        faults = FaultPlan(drop_probability=0.2, crash_schedule=((3, 2),))
+        spec = SimulationSpec(algorithm="d2", trace="full", seed=4, faults=faults)
+        report = simulate(graph, spec)
+        engine = SimulationEngine(
+            Network(graph), max_rounds=spec.max_rounds, faults=faults, trace="full", seed=4
+        )
+        result = engine.run(D2Protocol)
+        for f in dataclasses.fields(EngineResult):
+            assert getattr(report, f.name) == getattr(result, f.name), f.name
+        assert result.dropped_messages > 0 and result.crashed == (3,)
 
     def test_zero_node_graph_is_empty_report(self):
         report = simulate(nx.Graph(), "d2")

@@ -3,13 +3,10 @@
 import networkx as nx
 
 from repro.analysis.domination import is_dominating_set
-from repro.core.distributed_greedy import (
-    distributed_greedy_dominating_set,
-    run_distributed_greedy,
-)
+from repro.api import SimulationSpec, simulate
+from repro.core.distributed_greedy import distributed_greedy_dominating_set
 from repro.graphs import generators as gen
 from repro.graphs.random_families import random_outerplanar, random_tree
-from repro.local_model.identifiers import shuffled_ids
 from repro.solvers.exact import domination_number
 
 
@@ -47,36 +44,34 @@ class TestProtocol:
     def test_agrees_with_centralized(self, small_zoo):
         for g in small_zoo:
             central = distributed_greedy_dominating_set(g)
-            proto = run_distributed_greedy(g)
-            assert proto.solution == central.solution, g
+            assert simulate(g, "greedy").chosen == central.solution, g
 
     def test_agrees_on_random_families(self):
         for seed in range(3):
             for g in (random_tree(16, seed), random_outerplanar(12, seed)):
                 assert (
-                    run_distributed_greedy(g).solution
+                    simulate(g, "greedy").chosen
                     == distributed_greedy_dominating_set(g).solution
                 )
 
     def test_single_vertex(self):
         g = nx.Graph()
         g.add_node(0)
-        assert run_distributed_greedy(g).solution == {0}
+        assert simulate(g, "greedy").chosen == {0}
 
     def test_complete_graph(self):
         g = nx.complete_graph(7)
-        result = run_distributed_greedy(g)
-        assert len(result.solution) == 1
+        assert len(simulate(g, "greedy").chosen) == 1
 
     def test_identifier_dependence_is_tie_break_only(self, cycle6):
         # shuffling ids may rotate which vertices win ties, but the
         # output size class and validity are invariant.
-        base = run_distributed_greedy(cycle6)
+        base = simulate(cycle6, "greedy").chosen
         for seed in (1, 2):
-            ids = shuffled_ids(cycle6, seed)
-            other = run_distributed_greedy(cycle6, ids)
-            assert is_dominating_set(cycle6, other.solution)
-            assert abs(len(other.solution) - len(base.solution)) <= 1
+            spec = SimulationSpec(algorithm="greedy", ids="shuffled", seed=seed)
+            other = simulate(cycle6, spec).chosen
+            assert is_dominating_set(cycle6, other)
+            assert abs(len(other) - len(base)) <= 1
 
     def test_rounds_recorded(self, path5):
-        assert run_distributed_greedy(path5).rounds >= 4
+        assert simulate(path5, "greedy").rounds >= 4

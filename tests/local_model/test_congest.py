@@ -6,25 +6,25 @@ from repro.local_model.congest import (
     gather_volume_model,
     trace_congest_report,
 )
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.gather import gather_views
 from repro.local_model.network import Network
 from repro.local_model.protocols import DegreeTwoProtocol
-from repro.local_model.runtime import SynchronousRuntime
 
 
 class TestReports:
     def test_gathering_violates_congest(self):
         g = gen.ladder(10)
-        _, trace = gather_views(g, 3)
-        report = trace_congest_report(g, trace)
+        _, result = gather_views(g, 3)
+        report = trace_congest_report(g, result)
         assert not report.congest_feasible
         assert report.overshoot > 1
 
     def test_degree_rule_fits_congest(self):
         g = gen.cycle(20)
         network = Network(g)
-        result = SynchronousRuntime(network, max_rounds=5).run(DegreeTwoProtocol)
-        report = trace_congest_report(g, result.trace, ids_per_message=3)
+        result = SimulationEngine(network, max_rounds=5).run(DegreeTwoProtocol)
+        report = trace_congest_report(g, result, ids_per_message=3)
         assert report.congest_feasible
 
     def test_overshoot_grows_with_radius(self):

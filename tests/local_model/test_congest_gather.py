@@ -42,23 +42,23 @@ class TestExactness:
 class TestRoundInflation:
     def test_smaller_budget_more_rounds(self):
         g = gen.fan(8)
-        _, t1 = congest_gather_views(g, 2, 1)
-        _, t4 = congest_gather_views(g, 2, 4)
-        assert t1.round_count > t4.round_count
+        _, r1 = congest_gather_views(g, 2, 1)
+        _, r4 = congest_gather_views(g, 2, 4)
+        assert r1.rounds > r4.rounds
 
     def test_congest_slower_than_local(self):
         g = gen.ladder(6)
-        _, local_trace = gather_views(g, 2)
-        _, congest_trace = congest_gather_views(g, 2, 2)
-        assert congest_trace.round_count > local_trace.round_count
+        _, local = gather_views(g, 2)
+        _, congest = congest_gather_views(g, 2, 2)
+        assert congest.rounds > local.rounds
 
     def test_messages_respect_budget(self):
         g = gen.ladder(6)
         budget = 2
 
         # budget counts facts per message; each fact is <= 3 units
-        views, trace = congest_gather_views(g, 2, budget)
-        worst_round = max(trace.rounds, key=lambda s: s.payload_units / max(1, s.messages))
+        views, result = congest_gather_views(g, 2, budget)
+        worst_round = max(result.round_stats, key=lambda s: s.payload_units / max(1, s.messages))
         assert worst_round.payload_units / max(1, worst_round.messages) <= 3 * budget
 
 

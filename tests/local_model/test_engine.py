@@ -10,13 +10,14 @@ from repro.local_model.engine import (
     LocalScheduler,
     MessageTooLargeError,
     SimulationEngine,
+    check_plan_vertices,
     scheduler_for,
 )
 from repro.local_model.gather import GatherAlgorithm
+from repro.local_model.identifiers import shuffled_ids
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
 from repro.local_model.protocols import D2Protocol
-from repro.local_model.runtime import SynchronousRuntime
 
 
 class EchoOnce(LocalAlgorithm):
@@ -49,13 +50,6 @@ class Never(LocalAlgorithm):
 
 
 class TestSchedulers:
-    def test_engine_matches_legacy_runtime(self, cycle6):
-        engine = SimulationEngine(Network(cycle6)).run(EchoOnce)
-        legacy = SynchronousRuntime(Network(cycle6)).run(EchoOnce)
-        assert engine.outputs == legacy.outputs
-        assert engine.rounds == legacy.rounds
-        assert engine.round_stats == legacy.trace.rounds
-
     def test_congest_boundary_exact_budget_passes(self, cycle6):
         budget = 5
         engine = SimulationEngine(Network(cycle6), CongestScheduler(budget))
@@ -176,6 +170,16 @@ class TestFaults:
         with pytest.raises(ValueError, match="crashed vertices"):
             SimulationEngine(Network(path5), faults=FaultPlan(crashed=(99,)))
 
+    def test_plan_vertices_may_join_later(self):
+        # scheduled crashes and Byzantine vertices may name a vertex that
+        # churn adds later; round-0 crashes may not
+        faults = FaultPlan(crash_schedule=((9, 2),))
+        check_plan_vertices({0, 1}, faults, {9: "lie"}, joins={9})
+        with pytest.raises(ValueError, match="scheduled-crash"):
+            check_plan_vertices({0, 1}, faults, {})
+        with pytest.raises(ValueError, match="crashed vertices"):
+            check_plan_vertices({0, 1}, FaultPlan(crashed=(9,)), {}, joins={9})
+
     def test_drop_probability_validated(self):
         with pytest.raises(ValueError, match="drop_probability"):
             FaultPlan(drop_probability=1.5)
@@ -227,3 +231,62 @@ class TestDeliveryContract:
         first, second = result.outputs[0]
         assert first == [1, 2, 3, 4, 5]
         assert second == [-5, -4, -3, -2, -1]
+
+
+class Script(LocalAlgorithm):
+    """Send ``sends[uid]`` (port -> payload) at init, then record the
+    inbox of each of ``rounds`` rounds and halt with the snapshots."""
+
+    def __init__(self, sends: dict, rounds: int = 1):
+        self.sends = sends
+        self.rounds = rounds
+
+    def on_init(self, ctx: NodeContext) -> None:
+        for port, payload in self.sends.get(ctx.uid, {}).items():
+            ctx.send(port, payload)
+
+    def on_round(self, ctx: NodeContext) -> None:
+        seen = ctx.state.setdefault("seen", [])
+        seen.append(dict(ctx.inbox))
+        if len(seen) == self.rounds:
+            ctx.halt(seen)
+
+
+class TestDelivery:
+    def test_message_arrives_at_back_port(self, path5):
+        # vertex 0 sends on its only port (to 1); vertex 1's ports are
+        # [0, 2], so the message lands on port 0, the one leading back
+        result = SimulationEngine(Network(path5)).run(lambda: Script({0: {0: "hello"}}))
+        assert result.total_messages == 1
+        assert result.outputs[1] == [{0: "hello"}]
+        assert all(result.outputs[v] == [{}] for v in (0, 2, 3, 4))
+
+    def test_inboxes_cleared_each_round(self, path5):
+        result = SimulationEngine(Network(path5)).run(
+            lambda: Script({0: {0: "x"}}, rounds=2)
+        )
+        assert result.outputs[1] == [{0: "x"}, {}]
+
+    def test_simultaneous_exchange(self, path5):
+        sends = {0: {0: "from0"}, 1: {0: "from1"}}
+        result = SimulationEngine(Network(path5)).run(lambda: Script(sends))
+        assert result.outputs[1] == [{0: "from0"}]
+        assert result.outputs[0] == [{0: "from1"}]
+
+    def test_back_ports_under_custom_ids(self, cycle6):
+        # every node broadcasts its uid: port p of v must hear the uid
+        # of the neighbor that port p leads to
+        ids = shuffled_ids(cycle6, seed=2)
+        network = Network(cycle6, ids)
+
+        class EchoPorts(LocalAlgorithm):
+            def on_init(self, ctx: NodeContext) -> None:
+                ctx.broadcast(ctx.uid)
+
+            def on_round(self, ctx: NodeContext) -> None:
+                ctx.halt(dict(ctx.inbox))
+
+        result = SimulationEngine(network).run(EchoPorts)
+        for v in cycle6.nodes:
+            ports = network.nodes[v].ports
+            assert result.outputs[v] == {p: ids[u] for p, u in enumerate(ports)}

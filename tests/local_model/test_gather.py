@@ -21,8 +21,8 @@ class TestRoundsForRadius:
 
 class TestGatheredKnowledge:
     def test_radius_zero_knows_neighbors(self, cycle6):
-        views, trace = gather_views(cycle6, 0)
-        assert trace.round_count == 1
+        views, result = gather_views(cycle6, 0)
+        assert result.rounds == 1
         view = views[0]
         assert set(view.graph.nodes) == {5, 0, 1}
         # edges to neighbors known; edge 1-2 unknown at radius 0
@@ -43,8 +43,8 @@ class TestGatheredKnowledge:
 
     def test_rounds_charged(self, path5):
         for radius in (0, 1, 2, 3):
-            _, trace = gather_views(path5, radius)
-            assert trace.round_count == rounds_for_radius(radius)
+            _, result = gather_views(path5, radius)
+            assert result.rounds == rounds_for_radius(radius)
 
     def test_view_rejects_oversized_queries(self, cycle6):
         views, _ = gather_views(cycle6, 1)

@@ -1,6 +1,6 @@
-"""Tests for trace accounting."""
+"""Tests for payload accounting."""
 
-from repro.local_model.instrumentation import RoundStats, Trace, payload_size
+from repro.local_model.instrumentation import payload_size
 
 
 class TestPayloadSize:
@@ -21,20 +21,3 @@ class TestPayloadSize:
         assert payload_size([]) == 1
         assert payload_size({}) == 1
 
-
-class TestTrace:
-    def test_totals(self):
-        trace = Trace(
-            rounds=[
-                RoundStats(round_index=1, messages=4, payload_units=10),
-                RoundStats(round_index=2, messages=2, payload_units=30),
-            ]
-        )
-        assert trace.round_count == 2
-        assert trace.total_messages == 6
-        assert trace.total_payload == 40
-
-    def test_empty_trace(self):
-        trace = Trace()
-        assert trace.round_count == 0
-        assert trace.total_messages == 0

@@ -44,36 +44,3 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Network(path5, {v: 0 for v in path5.nodes})
 
-
-class TestDelivery:
-    def test_port_toward_inverse(self, cycle6):
-        net = Network(cycle6)
-        for v in cycle6.nodes:
-            for u in net.nodes[v].ports:
-                assert net.nodes[u].ports[net.port_toward(u, v)] == v
-
-    def test_message_arrives_at_back_port(self, path5):
-        net = Network(path5)
-        # vertex 0 sends on its only port (to 1)
-        delivered = net.deliver({0: {0: "hello"}})
-        assert delivered == 1
-        # vertex 1's ports are [0, 2]; port 0 leads back to vertex 0
-        assert net.nodes[1].inbox == {0: "hello"}
-
-    def test_inboxes_cleared_each_round(self, path5):
-        net = Network(path5)
-        net.deliver({0: {0: "x"}})
-        net.deliver({})
-        assert net.nodes[1].inbox == {}
-
-    def test_simultaneous_exchange(self, path5):
-        net = Network(path5)
-        net.deliver({0: {0: "from0"}, 1: {0: "from1"}})
-        assert net.nodes[1].inbox[0] == "from0"
-        assert net.nodes[0].inbox[0] == "from1"
-
-    def test_uid_to_vertex_roundtrip(self, path5):
-        ids = shuffled_ids(path5, seed=2)
-        net = Network(path5, ids)
-        back = net.uid_to_vertex()
-        assert all(back[ids[v]] == v for v in path5.nodes)

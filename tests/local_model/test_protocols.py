@@ -4,44 +4,40 @@ import networkx as nx
 import pytest
 
 from repro.analysis.domination import is_dominating_set
+from repro.api import simulate
 from repro.core.baselines import degree_two_dominating_set
 from repro.core.d2 import d2_dominating_set
 from repro.graphs import generators as gen
 from repro.graphs.random_families import random_outerplanar, random_tree
 from repro.graphs.twins import remove_true_twins, true_twin_classes
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.identifiers import shuffled_ids
 from repro.local_model.network import Network
-from repro.local_model.protocols import (
-    D2Protocol,
-    DegreeTwoProtocol,
-    TwinElectionProtocol,
-    run_protocol_dominating_set,
-)
-from repro.local_model.runtime import SynchronousRuntime
+from repro.local_model.protocols import D2Protocol, TwinElectionProtocol
 
 
 class TestDegreeTwoProtocol:
     def test_matches_centralized(self, small_zoo):
         for g in small_zoo:
-            chosen, rounds = run_protocol_dominating_set(g, DegreeTwoProtocol)
-            assert chosen == degree_two_dominating_set(g).solution, g
-            assert rounds == 1  # one message round after init
+            report = simulate(g, "degree_two")
+            assert report.chosen == degree_two_dominating_set(g).solution, g
+            assert report.rounds == 1  # one message round after init
 
     def test_k2_component(self):
         g = nx.path_graph(2)
-        chosen, _ = run_protocol_dominating_set(g, DegreeTwoProtocol)
+        chosen = simulate(g, "degree_two").chosen
         assert chosen == {0}
 
     def test_isolated_vertex(self):
         g = nx.Graph()
         g.add_node(7)
-        chosen, _ = run_protocol_dominating_set(g, DegreeTwoProtocol)
+        chosen = simulate(g, "degree_two").chosen
         assert chosen == {7}
 
     def test_dominates_trees(self):
         for seed in range(4):
             g = random_tree(15, seed)
-            chosen, _ = run_protocol_dominating_set(g, DegreeTwoProtocol)
+            chosen = simulate(g, "degree_two").chosen
             assert is_dominating_set(g, chosen)
 
 
@@ -49,7 +45,7 @@ class TestTwinElection:
     def test_detects_twin_classes(self, small_zoo):
         for g in small_zoo:
             network = Network(g)
-            result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+            result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
             reps = {v for v, (is_rep, _) in result.outputs.items() if is_rep}
             expected = {min(cls, key=repr) for cls in true_twin_classes(g)}
             assert reps == expected, g
@@ -57,33 +53,33 @@ class TestTwinElection:
     def test_clique_single_representative(self):
         g = nx.complete_graph(5)
         network = Network(g)
-        result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
         reps = {v for v, (is_rep, _) in result.outputs.items() if is_rep}
         assert reps == {0}
 
     def test_representative_uid_consistent(self, cycle6):
         network = Network(cycle6)
-        result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
         for v, (is_rep, rep) in result.outputs.items():
             assert is_rep == (rep == v)
 
     def test_two_rounds(self, path5):
         network = Network(path5)
-        result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
         assert result.rounds == 2
 
 
 class TestD2Protocol:
     def test_matches_centralized_on_zoo(self, small_zoo):
         for g in small_zoo:
-            chosen, rounds = run_protocol_dominating_set(g, D2Protocol)
-            assert chosen == d2_dominating_set(g).solution, g
-            assert rounds == 3
+            report = simulate(g, "d2")
+            assert report.chosen == d2_dominating_set(g).solution, g
+            assert report.rounds == 3
 
     def test_matches_on_random_families(self):
         for seed in range(4):
             for g in (random_tree(16, seed), random_outerplanar(11, seed)):
-                chosen, _ = run_protocol_dominating_set(g, D2Protocol)
+                chosen = simulate(g, "d2").chosen
                 assert chosen == d2_dominating_set(g).solution
 
     def test_matches_on_twin_heavy_graphs(self):
@@ -92,12 +88,12 @@ class TestD2Protocol:
             gen.clique_with_pendants(5),
             nx.complete_bipartite_graph(2, 4),
         ):
-            chosen, _ = run_protocol_dominating_set(g, D2Protocol)
+            chosen = simulate(g, "d2").chosen
             assert chosen == d2_dominating_set(g).solution, g
 
     def test_dominates(self, small_zoo):
         for g in small_zoo:
-            chosen, _ = run_protocol_dominating_set(g, D2Protocol)
+            chosen = simulate(g, "d2").chosen
             assert is_dominating_set(g, chosen)
 
     def test_identifier_scheme_changes_only_tie_breaks(self, cycle6):
@@ -105,13 +101,13 @@ class TestD2Protocol:
         # the full vertex set under every identifier assignment.
         for seed in (0, 1, 2):
             ids = shuffled_ids(cycle6, seed)
-            chosen, _ = run_protocol_dominating_set(cycle6, D2Protocol, ids)
-            assert chosen == set(cycle6.nodes)
+            result = SimulationEngine(Network(cycle6, ids)).run(D2Protocol)
+            assert result.outputs == {v: True for v in cycle6.nodes}
 
     def test_single_vertex(self):
         g = nx.Graph()
         g.add_node(3)
-        chosen, _ = run_protocol_dominating_set(g, D2Protocol)
+        chosen = simulate(g, "d2").chosen
         assert chosen == {3}
 
 

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.domination import is_dominating_set
+from repro.api import simulate
 from repro.core.d2 import d2_dominating_set
 from repro.core.distributed_greedy import distributed_greedy_dominating_set
 from repro.graphs.operations import attach_pendants, graph_power, subdivide
 from repro.graphs.treewidth import is_valid_decomposition, min_fill_decomposition, width
 from repro.graphs.util import ball
-from repro.local_model.protocols import D2Protocol, run_protocol_dominating_set
 
 from tests.property.strategies import connected_graphs, random_trees
 
@@ -59,8 +59,7 @@ def test_graph_power_edges_match_balls(graph, k):
 @given(connected_graphs(max_nodes=10))
 @settings(max_examples=20, deadline=None)
 def test_d2_protocol_matches_centralized(graph):
-    chosen, _ = run_protocol_dominating_set(graph, D2Protocol)
-    assert chosen == d2_dominating_set(graph).solution
+    assert simulate(graph, "d2").chosen == d2_dominating_set(graph).solution
 
 
 @given(connected_graphs(max_nodes=10))
