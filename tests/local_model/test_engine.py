@@ -114,6 +114,30 @@ class TestTracePolicies:
         assert len(result.round_stats) == result.rounds
         assert result.total_messages == 12
 
+    def test_full_totals_sum_round_stats(self):
+        result = SimulationEngine(Network(gen.ladder(6)), trace="full").run(
+            lambda: GatherAlgorithm(2)
+        )
+        stats = result.round_stats
+        assert [s.round_index for s in stats] == list(range(1, result.rounds + 1))
+        assert result.total_messages == sum(s.messages for s in stats) > 0
+        assert result.total_payload == sum(s.payload_units for s in stats) > 0
+
+    def test_halt_at_init_records_no_rounds(self, cycle6):
+        class HaltAtInit(LocalAlgorithm):
+            def on_init(self, ctx: NodeContext) -> None:
+                ctx.halt(ctx.uid)
+
+            def on_round(self, ctx: NodeContext) -> None:
+                raise AssertionError("halted nodes never run a round")
+
+        result = SimulationEngine(Network(cycle6), trace="full").run(HaltAtInit)
+        assert result.rounds == 0
+        assert result.round_stats == []
+        assert result.total_messages == 0
+        assert result.total_payload == 0
+        assert result.outputs == {v: v for v in cycle6.nodes}
+
     def test_stats_keeps_totals_only(self, cycle6):
         result = SimulationEngine(Network(cycle6), trace="stats").run(EchoOnce)
         assert result.round_stats is None

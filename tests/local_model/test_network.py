@@ -44,3 +44,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Network(path5, {v: 0 for v in path5.nodes})
 
+
+class TestPorts:
+    def test_ports_are_symmetric(self, cycle6):
+        # the engine routes a message sent on port p of v to the port of
+        # u = ports[p] that leads back to v, so that port must exist
+        net = Network(cycle6)
+        for v in cycle6.nodes:
+            for u in net.nodes[v].ports:
+                assert net.nodes[u].ports.count(v) == 1
+
+    def test_uids_follow_custom_ids(self, path5):
+        ids = shuffled_ids(path5, seed=2)
+        net = Network(path5, ids)
+        assert all(net.nodes[v].uid == ids[v] for v in path5.nodes)
+        assert net.ids == ids
