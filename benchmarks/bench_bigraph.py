@@ -4,21 +4,23 @@ Proves the two claims the packed backend exists for:
 
 * **capacity** — million-node instances build from streamed edge lists
   (:func:`repro.graphs.kernel.kernel_from_edges`, no ``nx.Graph``) and
-  run the greedy / D₂ / two-packing-ratio pipelines end to end in
+  run the greedy / D₂ / D₂-VC / two-packing-ratio pipelines end to end in
   O(n + m) memory.  Every (family, n) cell is measured in a fresh
   subprocess so ``ru_maxrss`` is that instance's own peak; the check
   enforces both an absolute O(n + m) cap and, at n ≥ 10⁵, that the
   peak stays below the n²/8-byte dense mask table the int backend
   would have had to allocate;
-* **agreement** — at sizes both backends can hold, greedy, D₂, and the
-  two-packing bound produce identical output on the int and packed
-  backends (``differential[*].agree``).
+* **agreement** — at sizes both backends can hold, greedy, D₂, D₂-VC
+  (solution, phases, metadata) and the two-packing bound produce
+  identical output on the int and packed backends
+  (``differential[*].agree``).
 
 Results land in ``benchmarks/BENCH_bigraph.json``:
 
-* ``rows[*]`` — per (family, n): build/solve wall times, solution
-  sizes, the two-packing lower bound with greedy/D₂ ratios, and
-  ``peak_rss_bytes`` against both memory caps;
+* ``rows[*]`` — per (family, n): build/solve wall times (``d2_vc_s``
+  is the D₂ vertex cover), solution sizes, the two-packing lower bound
+  with greedy/D₂ ratios, and ``peak_rss_bytes`` against both memory
+  caps;
 * ``differential[*]`` — per overlapping size: an ``agree`` flag plus
   the per-pipeline comparison record.
 
@@ -111,8 +113,10 @@ def build_view(family: str, n: int):
 def measure_cell(family: str, n: int) -> dict:
     from repro.analysis.domination import is_dominating_set
     from repro.core.d2 import d2_dominating_set
+    from repro.core.vertex_cover import d2_vertex_cover
     from repro.solvers.bounds import two_packing_lower_bound
     from repro.solvers.greedy import greedy_dominating_set
+    from repro.solvers.vc import is_vertex_cover
 
     n = normalize_n(family, n)
     t0 = time.perf_counter()
@@ -128,10 +132,17 @@ def measure_cell(family: str, n: int) -> dict:
     d2 = d2_dominating_set(view)
     d2_s = time.perf_counter() - t0
     t0 = time.perf_counter()
+    d2_vc = d2_vertex_cover(view)
+    d2_vc_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
     lower_bound = two_packing_lower_bound(view)
     two_packing_s = time.perf_counter() - t0
 
-    valid = is_dominating_set(view, greedy) and is_dominating_set(view, d2.solution)
+    valid = (
+        is_dominating_set(view, greedy)
+        and is_dominating_set(view, d2.solution)
+        and is_vertex_cover(view, d2_vc.solution)
+    )
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     return {
         "family": family,
@@ -143,6 +154,8 @@ def measure_cell(family: str, n: int) -> dict:
         "greedy_size": len(greedy),
         "d2_s": d2_s,
         "d2_size": len(d2.solution),
+        "d2_vc_s": d2_vc_s,
+        "d2_vc_size": len(d2_vc.solution),
         "two_packing_s": two_packing_s,
         "lower_bound": lower_bound,
         "ratio_greedy": len(greedy) / lower_bound if lower_bound else None,
@@ -174,6 +187,7 @@ def measure_in_subprocess(family: str, n: int) -> dict:
 
 def differential_cell(family: str, n: int) -> dict:
     from repro.core.d2 import d2_dominating_set
+    from repro.core.vertex_cover import d2_vertex_cover
     from repro.graphs.kernel import (
         KernelView,
         graph_from_wire,
@@ -197,9 +211,15 @@ def differential_cell(family: str, n: int) -> dict:
                 instance = KernelView(instance)
             else:
                 instance = graph_from_wire(instance.to_wire())
+            vc = d2_vertex_cover(instance)
             outputs[backend] = {
                 "greedy": sorted(greedy_dominating_set(instance)),
                 "d2": sorted(d2_dominating_set(instance).solution),
+                "d2_vc": (
+                    sorted(vc.solution),
+                    {name: sorted(part) for name, part in vc.phases.items()},
+                    vc.metadata,
+                ),
                 "two_packing": two_packing_lower_bound(instance),
             }
         finally:
@@ -213,6 +233,7 @@ def differential_cell(family: str, n: int) -> dict:
         "checks": checks,
         "greedy_size": len(outputs["int"]["greedy"]),
         "d2_size": len(outputs["int"]["d2"]),
+        "d2_vc_size": len(outputs["int"]["d2_vc"][0]),
         "two_packing": outputs["int"]["two_packing"],
     }
 
@@ -249,7 +270,7 @@ def check(result: dict, quick: bool) -> list[str]:
         if row["backend"] != "packed":
             failures.append(f"{cell}: expected the packed backend, got {row['backend']}")
         if not row["valid"]:
-            failures.append(f"{cell}: a produced solution is not dominating")
+            failures.append(f"{cell}: a produced solution is not dominating / not a cover")
         if not 0 < row["greedy_size"] <= row["n"]:
             failures.append(f"{cell}: implausible greedy size {row['greedy_size']}")
         if row["ratio_greedy"] is None or row["ratio_greedy"] < 1.0:
@@ -315,7 +336,7 @@ def main(argv=None) -> int:
         print(
             f"{row['family']:>8} n={row['n']:<8} m={row['m']:<8} "
             f"build {row['build_s']:6.2f}s greedy {row['greedy_s']:6.2f}s "
-            f"d2 {row['d2_s']:6.2f}s 2pack {row['two_packing_s']:6.2f}s "
+            f"d2 {row['d2_s']:6.2f}s d2_vc {row['d2_vc_s']:6.2f}s 2pack {row['two_packing_s']:6.2f}s "
             f"ratio {row['ratio_greedy']:.3f} "
             f"rss {row['peak_rss_bytes'] / (1 << 20):7.1f}MiB"
         )
@@ -323,7 +344,7 @@ def main(argv=None) -> int:
         print(
             f"{'diff':>8} {cell['family']} n={cell['n']:<6} "
             f"agree={cell['agree']} |greedy|={cell['greedy_size']} "
-            f"|d2|={cell['d2_size']} 2pack={cell['two_packing']}"
+            f"|d2|={cell['d2_size']} |d2_vc|={cell['d2_vc_size']} 2pack={cell['two_packing']}"
         )
     failures = check(result, quick=args.quick)
     for failure in failures:

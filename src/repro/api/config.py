@@ -17,6 +17,7 @@ from typing import Mapping
 
 from repro.core.radii import RadiusPolicy
 from repro.core.results import AlgorithmResult
+from repro.graphs.kernel import kernel_for
 
 MODES = ("fast", "simulate")
 VALIDATION_LEVELS = ("none", "valid", "ratio")
@@ -332,8 +333,12 @@ def measured_ratio(size: int, optimum_size: int) -> float:
 
 
 def instance_meta(graph, extra: Mapping | None = None) -> dict:
-    """The standard instance-metadata dict (``n``, ``m``, caller extras)."""
-    meta = {"n": graph.number_of_nodes(), "m": graph.number_of_edges()}
+    """The standard instance-metadata dict (``n``, ``m``, caller extras).
+
+    ``m`` is the kernel's cached edge count (self-loops counted once, as
+    ``nx`` counts them), not a fresh walk of the graph's adjacency.
+    """
+    meta = {"n": graph.number_of_nodes(), "m": kernel_for(graph).edge_count()}
     if extra:
         meta.update(extra)
     return meta

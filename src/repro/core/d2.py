@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.core.results import AlgorithmResult
 from repro.graphs.kernel import KernelView, kernel_for
@@ -67,22 +68,58 @@ def d2_set(graph: nx.Graph) -> set[Vertex]:
     return kernel.labels_of(members)
 
 
+def packed_pipeline_kernel(graph):
+    """The packed kernel D₂'s array pipelines run on, or ``None``.
+
+    ``None`` means the int path: an ``nx.Graph`` below the packed
+    threshold.  A small :class:`~repro.graphs.kernel.KernelView`
+    resolves to the int backend but has no ``nx.Graph`` to take twin
+    subgraphs of, so its int kernel's CSR is lifted into a packed one.
+    """
+    kernel = kernel_for(graph)
+    if kernel.backend == "packed":
+        return kernel
+    if isinstance(graph, KernelView):
+        from repro.graphs.packed import PackedGraphKernel
+
+        return PackedGraphKernel(kernel.labels, kernel.indptr, kernel.indices)
+    return None
+
+
+def twin_free_d2_packed(kernel):
+    """Twin reduction then ``D₂``, on CSR arrays: ``(reduced, members, representative)``.
+
+    ``reduced`` is the twin-free sub-kernel (original labels, kernel
+    order), ``members`` its ``D₂`` as a packed mask, and
+    ``representative[i]`` the surviving kernel index that stands for
+    ``i`` in the input kernel — twins are the indices not their own
+    representative.  No ``nx`` subgraph is built.
+    """
+    from repro.graphs.packed import d2_members_packed, twin_survivor_indices
+
+    survivors, representative = twin_survivor_indices(kernel)
+    reduced = kernel.induced(survivors)
+    return reduced, d2_members_packed(reduced), representative
+
+
 def _d2_dominating_packed(kernel) -> AlgorithmResult:
     """The same twin-reduce → D₂ → per-component fix-up, on CSR arrays.
 
     ``induced`` keeps original labels in kernel (repr) order, so the
     reduced kernel's lowest index in a component *is* the repr-least
-    vertex — the exact deterministic fix-up the int path applies.
+    vertex — the exact deterministic fix-up the int path applies.  The
+    fix-up reads one component labelling directly: a component with no
+    ``D₂`` member gets its lowest index.
     """
-    from repro.graphs.packed import d2_members_packed, twin_survivor_indices
+    from repro.graphs.packed import PackedMask
 
-    survivors, _ = twin_survivor_indices(kernel)
-    reduced = kernel.induced(survivors)
-    members = d2_members_packed(reduced)
-    solution = reduced.labels_of(members)
-    for component in reduced.components_of_mask(reduced.full_mask):
-        if not (component & members):
-            solution.add(reduced.labels[int(component.indices()[0])])
+    reduced, members, _ = twin_free_d2_packed(kernel)
+    vertices, labels, count = reduced.component_labels(reduced.full_mask)
+    covered = np.zeros(count, dtype=bool)
+    covered[labels[members.to_bool()[vertices]]] = True
+    lowest = vertices[np.unique(labels, return_index=True)[1]]
+    fix = PackedMask.from_indices(reduced.n, lowest[~covered])
+    solution = reduced.labels_of(members | fix)
     return AlgorithmResult(
         name="d2",
         solution=solution,
@@ -104,18 +141,9 @@ def d2_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     """
     if graph.number_of_nodes() == 0:
         return AlgorithmResult(name="d2", solution=set(), rounds=0)
-    kernel = kernel_for(graph)
-    if kernel.backend == "packed":
+    kernel = packed_pipeline_kernel(graph)
+    if kernel is not None:
         return _d2_dominating_packed(kernel)
-    if isinstance(graph, KernelView):
-        # A small view resolves to the int backend, but there is no
-        # nx.Graph to take twin subgraphs of — lift the int kernel's
-        # CSR into a packed kernel and run the array pipeline.
-        from repro.graphs.packed import PackedGraphKernel
-
-        return _d2_dominating_packed(
-            PackedGraphKernel(kernel.labels, kernel.indptr, kernel.indices)
-        )
     reduced, _ = remove_true_twins(graph)
     solution = d2_set(reduced)
     # A single vertex (after twin reduction a K_n collapses to one) has

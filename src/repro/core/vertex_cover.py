@@ -20,11 +20,14 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
-from repro.core.d2 import d2_set
+from repro.core.d2 import d2_set, packed_pipeline_kernel, twin_free_d2_packed
 from repro.core.radii import RadiusPolicy
 from repro.core.results import AlgorithmResult
+from repro.graphs.kernel import kernel_for
 from repro.graphs.local_cuts import local_one_cuts, local_two_cuts
+from repro.graphs.packed import PackedMask
 from repro.graphs.twins import remove_true_twins
 from repro.graphs.util import weak_diameter
 from repro.local_model.gather import rounds_for_radius
@@ -186,18 +189,30 @@ def d2_vertex_cover(graph: nx.Graph) -> AlgorithmResult:
     edge with its smaller-identifier endpoint.  All three steps are radius-2
     decisions, so the round count stays constant.
     """
-    if graph.number_of_edges() == 0:
+    if kernel_for(graph).edge_count() == 0:
         return AlgorithmResult(name="d2_vc", solution=set(), rounds=0)
-    reduced, mapping = remove_true_twins(graph)
-    base = d2_set(reduced)
-    twins = {v for v in graph.nodes if mapping[v] != v}
+    kernel = packed_pipeline_kernel(graph)
+    if kernel is not None:
+        reduced, members, representative = twin_free_d2_packed(kernel)
+        base = reduced.labels_of(members)
+        twins = kernel.labels_of(
+            PackedMask.from_bool(representative != np.arange(kernel.n))
+        )
+    else:
+        reduced, mapping = remove_true_twins(graph)
+        base = d2_set(reduced)
+        twins = {v for v in graph.nodes if mapping[v] != v}
     solution = twins | base
     patch: set[Vertex] = set()
-    for u, v in sorted(graph.edges, key=repr):
-        if u not in solution and v not in solution:
-            pick = min(u, v, key=repr)
-            patch.add(pick)
-            solution.add(pick)
+    if not is_vertex_cover(graph, solution):
+        # Only edges bare under the initial solution can need a patch (the
+        # solution only grows), so the sorted walk skips every other edge.
+        bare = [(u, v) for u, v in graph.edges if u not in solution and v not in solution]
+        for u, v in sorted(bare, key=repr):
+            if u not in solution and v not in solution:
+                pick = min(u, v, key=repr)
+                patch.add(pick)
+                solution.add(pick)
     assert is_vertex_cover(graph, solution)
     return AlgorithmResult(
         name="d2_vc",

@@ -207,6 +207,7 @@ class GraphKernel:
         "full_mask",
         "_back_ports",
         "_dense_cut",
+        "_m",
         "__weakref__",
     )
 
@@ -235,6 +236,7 @@ class GraphKernel:
         self._back_ports: array | None = None
         # Ball walks go bitset-dense past this many visited vertices.
         self._dense_cut = max(64, n >> 3)
+        self._m: int | None = None
 
     @classmethod
     def _from_csr(cls, labels: list[Vertex], indptr: array, indices: array) -> "GraphKernel":
@@ -262,6 +264,7 @@ class GraphKernel:
         self.full_mask = (1 << n) - 1
         self._back_ports = None
         self._dense_cut = max(64, n >> 3)
+        self._m = None
         return self
 
     def to_wire(self) -> KernelWire:
@@ -316,14 +319,16 @@ class GraphKernel:
         return self.indptr[index + 1] - self.indptr[index]
 
     def edge_count(self) -> int:
-        """Number of undirected edges (self-loops counted once)."""
-        indptr, indices = self.indptr, self.indices
-        loops = 0
-        for i in range(self.n):
-            pos = bisect_left(indices, i, indptr[i], indptr[i + 1])
-            if pos < indptr[i + 1] and indices[pos] == i:
-                loops += 1
-        return (len(indices) - loops) // 2 + loops
+        """Number of undirected edges (self-loops counted once), cached."""
+        if self._m is None:
+            indptr, indices = self.indptr, self.indices
+            loops = 0
+            for i in range(self.n):
+                pos = bisect_left(indices, i, indptr[i], indptr[i + 1])
+                if pos < indptr[i + 1] and indices[pos] == i:
+                    loops += 1
+            self._m = (len(indices) - loops) // 2 + loops
+        return self._m
 
     # -- domination primitives ----------------------------------------------
 

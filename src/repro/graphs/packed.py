@@ -36,7 +36,7 @@ import numpy as np
 
 Vertex = Hashable
 
-_CHUNK_ELEMENTS = 1 << 21  # elements per vectorized batch in pair scans
+_CHUNK_ELEMENTS = 1 << 18  # elements per vectorized batch in pair scans
 
 
 # -- popcount ---------------------------------------------------------------
@@ -504,12 +504,14 @@ class PackedGraphKernel:
         return PackedMask.from_indices(self.n, self._indices_of_labels(vertices))
 
     def labels_of(self, mask: PackedMask) -> set:
-        """Vertex labels of the set bits of ``mask``."""
-        idx = mask.indices()
-        if self._labels_arr is not None:
-            return set(self._labels_arr[idx].tolist())
+        """Vertex labels of the set bits of ``mask``.
+
+        The set holds the kernel's own label objects, not fresh copies:
+        a solution kept in a report (or a service's result store) then
+        costs a pointer per vertex, not a new int object.
+        """
         labels = self.labels
-        return {labels[i] for i in idx.tolist()}
+        return {labels[i] for i in mask.indices().tolist()}
 
     def neighbor_row(self, index: int) -> np.ndarray:
         """CSR row of ``index``: neighbor indices, sorted ascending."""
@@ -623,28 +625,57 @@ class PackedGraphKernel:
         """Connected component of ``G[within]`` containing ``seed``."""
         return PackedMask.from_bool(self._flood(seed.to_bool(), within.to_bool()))
 
+    def component_labels(self, mask: PackedMask) -> tuple[np.ndarray, np.ndarray, int]:
+        """Label the connected components of ``G[mask]`` in one pass.
+
+        Returns ``(members, labels, count)``: ``members`` is the mask's
+        kernel indices ascending, ``labels[k]`` the component of
+        ``members[k]``, numbered ``0..count-1`` by lowest kernel index —
+        the order :meth:`components_of_mask` yields them in.  One
+        ``scipy`` ``connected_components`` call over the CSR restricted
+        to the mask, so the cost is O(n + vol(mask)) however many
+        components or BFS levels ``G[mask]`` has.
+        """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        members = mask.indices()
+        k = int(members.size)
+        if k == 0:
+            return members, np.empty(0, dtype=np.int64), 0
+        local = np.full(self.n, -1, dtype=np.int64)
+        local[members] = np.arange(k, dtype=np.int64)
+        cols = local[_gather_rows(self.indptr, self.indices, members)]
+        rows = np.repeat(np.arange(k, dtype=np.int64), np.diff(self.indptr)[members])
+        inside = cols >= 0
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.bincount(rows[inside], minlength=k))
+        sub = csr_matrix(
+            (np.ones(int(indptr[-1]), dtype=np.int8), cols[inside], indptr), shape=(k, k)
+        )
+        count, labels = connected_components(sub, directed=False)
+        # Renumber by first occurrence: members ascend, so this is the
+        # lowest-kernel-index order whatever numbering scipy chose.
+        first = np.unique(labels, return_index=True)[1]
+        rank = np.empty(count, dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(count, dtype=np.int64)
+        return members, rank[labels], int(count)
+
     def components_of_mask(self, mask: PackedMask) -> Iterator[PackedMask]:
         """Connected components of ``G[mask]``, lowest kernel index first."""
-        within = mask.to_bool()
-        seeds = np.flatnonzero(within)
-        remaining = within.copy()
-        for s in seeds.tolist():
-            if not remaining[s]:
-                continue
-            seed_flags = np.zeros(self.n, dtype=bool)
-            seed_flags[s] = True
-            component = self._flood(seed_flags, remaining)
-            remaining &= ~component
-            yield PackedMask.from_bool(component)
+        members, labels, count = self.component_labels(mask)
+        order = np.argsort(labels, kind="stable")
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        bounds[1:] = np.cumsum(np.bincount(labels, minlength=count))
+        for c in range(count):
+            yield PackedMask.from_indices(self.n, members[order[bounds[c] : bounds[c + 1]]])
 
     def count_components_of_mask(self, mask: PackedMask) -> int:
-        return sum(1 for _ in self.components_of_mask(mask))
+        return self.component_labels(mask)[2]
 
     def is_mask_connected(self, mask: PackedMask) -> bool:
-        if not mask:
-            return True
-        first = next(self.components_of_mask(mask))
-        return first.bit_count() == mask.bit_count()
+        """Whether ``G[mask]`` is connected; the empty mask counts as connected."""
+        return self.component_labels(mask)[2] <= 1
 
     # -- engine routing --
 
@@ -667,8 +698,9 @@ class PackedGraphKernel:
     def induced(self, keep: np.ndarray) -> "PackedGraphKernel":
         """Sub-kernel induced on the ascending kernel indices ``keep``.
 
-        Labels are inherited (so repr order is preserved) and rows stay
-        sorted because the index relabelling is monotone.
+        Labels are inherited — the same label objects, so repr order is
+        preserved and label sets built on the sub-kernel share them — and
+        rows stay sorted because the index relabelling is monotone.
         """
         keep = np.asarray(keep, dtype=np.int64)
         inside = np.zeros(self.n, dtype=bool)
@@ -684,7 +716,7 @@ class PackedGraphKernel:
         indptr = np.zeros(keep.size + 1, dtype=np.int64)
         if new_rows.size:
             indptr[1:] = np.cumsum(np.bincount(new_rows, minlength=keep.size))
-        labels = [self.labels[int(k)] for k in keep]
+        labels = [self.labels[k] for k in keep.tolist()]
         return PackedGraphKernel(labels, indptr, np.ascontiguousarray(new_cols))
 
 
@@ -701,37 +733,44 @@ def greedy_cover_packed(
     recomputed gain still matches its key is a true maximum.  Heap
     order is ``(-gain, index)``, which reproduces the int backend's
     "strictly greater beats, lowest index wins ties" selection exactly.
+
+    The initial gains are one prefix sum; the heap loop then runs on
+    plain lists and a ``bytearray`` of remaining targets, because its
+    rows are a handful of entries each and a numpy call per pop would
+    cost more than the work it does.
     """
     n = kernel.n
-    remaining = target_mask.to_bool()
-    remaining_count = int(remaining.sum())
-    chosen = np.zeros(n, dtype=bool)
+    flags = target_mask.to_bool()
+    remaining_count = int(flags.sum())
     if remaining_count == 0:
-        return PackedMask.from_bool(chosen)
+        return PackedMask.zeros(n)
     cind, ccols = kernel._closed_csr()
     candidates = candidate_mask.indices()
     pref = np.zeros(ccols.size + 1, dtype=np.int64)
     if ccols.size:
-        pref[1:] = np.cumsum(remaining[ccols])
+        pref[1:] = np.cumsum(flags[ccols])
     gains = pref[cind[candidates + 1]] - pref[cind[candidates]]
-    heap = [
-        (-int(g), int(c)) for g, c in zip(gains.tolist(), candidates.tolist()) if g > 0
-    ]
+    heap = [(-g, c) for g, c in zip(gains.tolist(), candidates.tolist()) if g > 0]
     heapq.heapify(heap)
+    starts = cind.tolist()
+    cols = ccols.tolist()
+    remaining = bytearray(flags.tobytes())
+    is_remaining = remaining.__getitem__
+    chosen: list[int] = []
     while remaining_count:
         if not heap:
             raise ValueError("some target cannot be dominated by any candidate")
         neg_gain, c = heapq.heappop(heap)
-        row = ccols[cind[c] : cind[c + 1]]
-        hits = remaining[row]
-        gain = int(hits.sum())
+        row = cols[starts[c] : starts[c + 1]]
+        gain = sum(map(is_remaining, row))
         if gain == -neg_gain:
-            chosen[c] = True
-            remaining[row[hits]] = False
+            chosen.append(c)
+            for j in row:
+                remaining[j] = 0
             remaining_count -= gain
         elif gain > 0:
             heapq.heappush(heap, (-gain, c))
-    return PackedMask.from_bool(chosen)
+    return PackedMask.from_indices(n, chosen)
 
 
 def two_packing_packed(kernel: PackedGraphKernel) -> int:

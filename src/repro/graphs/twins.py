@@ -90,8 +90,9 @@ def remove_true_twins(graph: nx.Graph) -> tuple[nx.Graph, dict[Vertex, Vertex]]:
     bucketing over the closed CSR (same rounds, same representatives);
     the reduced graph is still materialized as an ``nx`` subgraph, so
     callers needing a graph-free reduction should use
-    :func:`repro.graphs.packed.twin_survivor_indices` directly (as the
-    D₂ pipeline does).
+    :func:`repro.graphs.packed.twin_survivor_indices` directly — as
+    the D₂ and D₂-VC pipelines do, through
+    :func:`repro.core.d2.twin_free_d2_packed`.
     """
     kernel = kernel_for(graph)
     labels = kernel.labels

@@ -54,6 +54,7 @@ MASK_PARAM_CALLS = {
     "span_counts",
     "ball_bits_from_mask",
     "component_bits",
+    "component_labels",
     "components_of_mask",
     "count_components_of_mask",
     "is_mask_connected",

@@ -51,6 +51,10 @@ class ReproHTTPServer(ThreadingHTTPServer):
 class ReproRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle on, the body of
+    # every response after the first on a kept-alive connection waits
+    # for the client's delayed ACK (~40 ms).  TCP_NODELAY sends it now.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 

@@ -15,12 +15,27 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from repro.graphs.kernel import kernel_for
+
 Vertex = Hashable
 
 
 def is_vertex_cover(graph: nx.Graph, cover: set[Vertex]) -> bool:
-    """Return whether ``cover`` touches every edge of ``graph``."""
-    return all(u in cover or v in cover for u, v in graph.edges)
+    """Return whether ``cover`` touches every edge of ``graph``.
+
+    Runs on the graph's kernel CSR: the cover fails iff some CSR slot
+    joins two uncovered vertices (a self-loop is one slot, covered iff
+    its vertex is).  Labels in ``cover`` that are not vertices of
+    ``graph`` are ignored.
+    """
+    kernel = kernel_for(graph)
+    index_of = kernel.index_of
+    bare = np.ones(kernel.n, dtype=bool)
+    bare[[index_of[v] for v in cover if v in index_of]] = False
+    indptr = np.frombuffer(kernel.indptr, dtype=np.int64)
+    indices = np.frombuffer(kernel.indices, dtype=np.int64)
+    rows = np.repeat(bare, np.diff(indptr))
+    return not (rows & bare[indices]).any()
 
 
 def minimum_vertex_cover(graph: nx.Graph) -> set[Vertex]:

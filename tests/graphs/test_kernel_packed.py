@@ -24,6 +24,7 @@ from repro.analysis.domination import (
 from repro.api import simulate, solve, solve_many
 from repro.api.config import RunConfig
 from repro.core.d2 import d2_dominating_set, d2_set, gamma
+from repro.core.vertex_cover import d2_vertex_cover
 from repro.graphs.families import get_family
 from repro.graphs.kernel import (
     GraphKernel,
@@ -312,31 +313,49 @@ def test_kernel_view_is_graph_shaped():
     assert kernel_for(view) is view.kernel
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pipelines_agree_across_backends(seed, restore_backend):
-    graph = nx.gnp_random_graph(35, 0.12, seed=seed)
-    set_kernel_backend("int")
-    invalidate_kernel(graph)
-    want = (
+def many_component_graph() -> nx.Graph:
+    """Disjoint paths, isolated vertices and a K4 twin class.
+
+    Three K4 vertices are true twins (the fourth carries a pendant), so
+    twin reduction shrinks the class to one vertex; the paths give D₂ a
+    component per path and greedy stale heap entries to re-push; the
+    isolated vertices are one-vertex components of their own.
+    """
+    graph = nx.Graph()
+    offset = 0
+    for length in (1, 2, 3, 5, 8, 13):
+        nx.add_path(graph, range(offset, offset + length))
+        offset += length
+    graph.add_nodes_from(["iso-a", "iso-b"])
+    graph.add_edges_from(
+        (f"k{a}", f"k{b}") for a in range(4) for b in range(a + 1, 4)
+    )
+    graph.add_edge("k0", "tail")
+    return graph
+
+
+def _pipelines(graph):
+    vc = d2_vertex_cover(graph)
+    return (
         greedy_dominating_set(graph),
         d2_dominating_set(graph).solution,
         d2_set(graph),
+        (vc.solution, vc.phases, vc.metadata),
         two_packing_lower_bound(graph),
         true_twin_classes(graph),
         has_true_twins(graph),
     )
+
+
+def _assert_pipelines_agree(graph):
+    set_kernel_backend("int")
+    invalidate_kernel(graph)
+    want = _pipelines(graph)
     want_reduced, want_map = remove_true_twins(graph)
     set_kernel_backend("packed")
     invalidate_kernel(graph)
     assert kernel_for(graph).backend == "packed"
-    got = (
-        greedy_dominating_set(graph),
-        d2_dominating_set(graph).solution,
-        d2_set(graph),
-        two_packing_lower_bound(graph),
-        true_twin_classes(graph),
-        has_true_twins(graph),
-    )
+    got = _pipelines(graph)
     assert got == want
     reduced, mapping = remove_true_twins(graph)
     assert set(reduced.nodes) == set(want_reduced.nodes)
@@ -352,12 +371,36 @@ def test_pipelines_agree_across_backends(seed, restore_backend):
     assert not is_b_dominating_set(graph, solution, ["missing"])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pipelines_agree_across_backends(seed, restore_backend):
+    _assert_pipelines_agree(nx.gnp_random_graph(35, 0.12, seed=seed))
+
+
+def test_pipelines_agree_on_many_components(restore_backend):
+    graph = many_component_graph()
+    _assert_pipelines_agree(graph)
+    ik = kernel_for(graph, backend="int")
+    pk = kernel_for(graph, backend="packed")
+    labels = ik.labels
+    for subset in (labels, labels[::2], labels[1::3], [], ["iso-a", "k1", 4, 5]):
+        imask = ik.bits_of(subset)
+        pmask = pk.bits_of(subset)
+        got = [as_int_mask(pk, c) for c in pk.components_of_mask(pmask)]
+        assert got == list(ik.components_of_mask(imask))
+        assert pk.count_components_of_mask(pmask) == ik.count_components_of_mask(imask)
+        assert pk.is_mask_connected(pmask) == ik.is_mask_connected(imask)
+    # One component per path, one per isolated vertex, and the K4 block.
+    assert pk.count_components_of_mask(pk.full_mask) == 6 + 2 + 1
+    assert pk.is_mask_connected(pk.bits_of(["k0", "k1", "tail"]))
+    assert not pk.is_mask_connected(pk.bits_of(["iso-a", "iso-b"]))
+
+
 def test_solve_on_kernel_view_matches_graph(restore_backend):
     set_kernel_backend("auto", threshold=8)
     graph = nx.gnp_random_graph(25, 0.2, seed=4)
     view = KernelView(kernel_for(graph, backend="packed"))
     config = RunConfig(validate="valid")
-    for name in ("d2", "greedy_central", "take_all"):
+    for name in ("d2", "d2_vc", "greedy_central", "take_all"):
         got = solve(view, name, config)
         want = solve(graph, name, config)
         assert got.result.solution == want.result.solution

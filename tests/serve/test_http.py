@@ -155,6 +155,41 @@ class TestEndpoints:
         assert "unknown job" in body["error"]
 
 
+class TestKeepAlive:
+    def test_persistent_connection_has_no_per_request_stall(self, serve):
+        """Many requests over one connection, each answered at once.
+
+        With Nagle's algorithm on the server socket, every response after
+        the first on a kept-alive connection waits ~40 ms for the client's
+        delayed ACK, so 24 requests would take well over 0.5 s.
+        """
+        payload = _solve_payload(
+            instances=[{"family": "path", "size": 2000, "seed": 0}],
+            algorithms=["take_all", "d2"],
+            validate="valid",
+        )
+        _, _, job = serve.json("POST", "/jobs", payload)
+        assert serve.poll(job["id"])["state"] == "completed"
+        paths = ["/healthz", f"/jobs/{job['id']}", f"/jobs/{job['id']}/result"]
+        conn = HTTPConnection("127.0.0.1", serve.port, timeout=30)
+        try:
+            sizes = {}
+            start = time.perf_counter()
+            for k in range(24):
+                path = paths[k % len(paths)]
+                conn.request("GET", path)
+                response = conn.getresponse()
+                data = response.read()
+                assert response.status == 200, path
+                json.loads(data)
+                sizes[path] = len(data)
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert sizes[paths[2]] >= 64 * 1024
+        assert elapsed < 0.5, f"24 keep-alive requests took {elapsed:.3f}s"
+
+
 class TestErrorMapping:
     def test_invalid_json_body_is_400(self, serve):
         status, _, data = serve.request("POST", "/jobs", raw_body=b"{not json")

@@ -63,3 +63,23 @@ class TestApproximations:
 
     def test_is_vertex_cover_rejects(self, path5):
         assert not is_vertex_cover(path5, {0})
+
+
+@pytest.mark.parametrize("backend", ["int", "packed"])
+def test_is_vertex_cover_on_either_kernel(backend):
+    """The CSR check keeps the edge-walk semantics on both backends."""
+    from repro.graphs.kernel import KernelView, kernel_for
+
+    graph = nx.path_graph(4)
+    graph.add_edge(3, 3)
+    graph.add_node("isolated")
+    view = KernelView(kernel_for(graph.copy(), backend=backend))
+    for g in (graph, view):
+        assert is_vertex_cover(g, {1, 3})
+        # A self-loop is covered only by its own vertex.
+        assert not is_vertex_cover(g, {1, 2})
+        # Labels outside the graph cover nothing and are not an error.
+        assert is_vertex_cover(g, {1, 3, "missing", (9, 9)})
+        assert not is_vertex_cover(g, {"missing"})
+    assert is_vertex_cover(nx.empty_graph(3), set())
+    assert is_vertex_cover(nx.Graph(), {"missing"})
